@@ -1,4 +1,4 @@
-"""Cold-tier measurement: seal transparency and the storage-ratio table.
+"""Cold suite: seal transparency and the storage-ratio table.
 
 One cell = one (workload, deployment) pair.  The deterministic stream
 is ingested twice — once into a never-sealed reference, once into a
@@ -16,15 +16,28 @@ Fig. 12-style query stream is answered by both:
   against the log-compressor baselines (CLP, LogZip, LogReducer) over
   the same corpus, alongside the compaction throughput and the
   trained-dictionary vs plain-codec sealed sizes.
+
+``--check`` gates:
+
+* **transparency** — any point lookup or ``query_many`` answer over
+  the sealed store differs from the never-sealed reference, or a
+  logical byte table moves by a byte (compression must stay confined
+  to the physical side of the storage split), or the logical tables
+  diverge across deployments;
+* **compression** — sealing saved no physical bytes, or the trained
+  dictionary does not beat the same codec without a dictionary on the
+  sealed params blocks;
+* **ratio** — the end-to-end storage ratio (corpus raw bytes over
+  physical storage bytes) falls below the best of CLP, LogZip and
+  LogReducer on any workload.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
-from query_bench import DEFAULT_WARMUP_TRACES, byte_tables, result_signature
+from query_bench import DEPLOYMENTS, build_query_stream, result_signature
 
 from repro.cold import ColdPolicy, CompactionStats
 from repro.cold.blocks import PARAMS_KIND, encode_params_payload
@@ -34,33 +47,27 @@ from repro.compression import (
     LogZipCompressor,
     corpus_raw_bytes,
 )
+from repro.concurrent.verify import byte_tables
 from repro.framework import MintFramework
 from repro.model.trace import Trace
-from repro.transport import Deployment
+from repro.sim.experiment import drive
+from repro.workloads import WORKLOAD_BUILDERS
 
-DEFAULT_WORKLOADS = ("onlineboutique", "trainticket", "alibaba")
-DEFAULT_DEPLOYMENTS = ("single", "sharded-4")
+DEFAULTS = {"traces": 400, "warmup_traces": 100, "workloads": list(WORKLOAD_BUILDERS)}
+FLAGS = {
+    "--deployments": dict(
+        nargs="+", default=["single", "sharded-4"], choices=["single", "sharded-2", "sharded-4"],
+        help="deployment topologies to sweep",
+    ),
+}
 #: Hot tail kept through the query sweep so lookups straddle segments.
 KEEP_HOT = 8
 
 
-def cold_deployments() -> dict[str, Deployment]:
-    return {
-        "single": Deployment.single(),
-        "sharded-2": Deployment.sharded(2),
-        "sharded-4": Deployment.sharded(4),
-    }
-
-
 def drive_sealed(
-    deployment: Deployment,
-    stream: list[tuple[float, Trace]],
-    warmup_traces: int,
-) -> tuple[MintFramework, list[CompactionStats]]:
+    framework: MintFramework, stream: list[tuple[float, Trace]]
+) -> list[CompactionStats]:
     """Ingest with a mid-stream compaction plus a straddling tail seal."""
-    framework = MintFramework(
-        deployment=deployment, auto_warmup_traces=warmup_traces
-    )
     parts: list[CompactionStats] = []
     midpoint = len(stream) // 2
     last_now = 0.0
@@ -75,77 +82,30 @@ def drive_sealed(
             ColdPolicy(keep_hot_traces=KEEP_HOT, keep_hot_blooms=KEEP_HOT)
         )
     )
-    return framework, parts
-
-
-def drive_plain(
-    deployment: Deployment,
-    stream: list[tuple[float, Trace]],
-    warmup_traces: int,
-) -> MintFramework:
-    framework = MintFramework(
-        deployment=deployment, auto_warmup_traces=warmup_traces
-    )
-    last_now = 0.0
-    for now, trace in stream:
-        framework.process_trace(trace, now)
-        last_now = now
-    framework.finalize(last_now)
-    return framework
-
-
-@dataclass
-class ColdMeasurement:
-    """One (workload, deployment) cell of BENCH_cold.json."""
-
-    workload: str
-    deployment: str
-    queries: int
-    identical: bool
-    logical_bytes: int
-    physical_bytes: int
-    savings_bytes: int
-    end_to_end_ratio: float
-    sealed_ratio: float
-    throughput_mb_s: float
-    compaction: dict[str, Any]
-    cold: dict[str, Any]
-    violations: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "deployment": self.deployment,
-            "queries": self.queries,
-            "identical": self.identical,
-            "logical_bytes": self.logical_bytes,
-            "physical_bytes": self.physical_bytes,
-            "savings_bytes": self.savings_bytes,
-            "end_to_end_ratio": round(self.end_to_end_ratio, 3),
-            "sealed_ratio": round(self.sealed_ratio, 3),
-            "throughput_mb_s": round(self.throughput_mb_s, 3),
-            "compaction": dict(self.compaction),
-            "cold": dict(self.cold),
-            "violations": list(self.violations),
-        }
+    return parts
 
 
 def measure_deployment(
     workload_name: str,
     deployment_name: str,
-    deployment_factory,
     stream: list[tuple[float, Trace]],
     queries: list[str],
-    warmup_traces: int = DEFAULT_WARMUP_TRACES,
-) -> tuple[ColdMeasurement, MintFramework, dict[str, int], dict[str, int]]:
+    warmup_traces: int,
+) -> tuple[dict[str, Any], MintFramework, dict[str, int]]:
     """One transparency + ratio cell.
 
-    Returns the cell, the (fully sealed) framework, and the logical
-    byte tables of the reference and the sealed twin.
+    Returns one (workload, deployment) cell of BENCH_cold.json, the
+    (fully sealed) framework, and the sealed twin's logical byte tables.
     """
+    def fresh() -> MintFramework:
+        return MintFramework(
+            deployment=DEPLOYMENTS[deployment_name], auto_warmup_traces=warmup_traces
+        )
+
     violations: list[str] = []
-    reference = drive_plain(deployment_factory(), stream, warmup_traces)
-    sealed, parts = drive_sealed(deployment_factory(), stream, warmup_traces)
+    reference, sealed = fresh(), fresh()
+    drive(reference, stream)
+    parts = drive_sealed(sealed, stream)
 
     # --- transparency: point lookups across seal boundaries ---
     for trace_id in queries:
@@ -179,24 +139,22 @@ def measure_deployment(
     logical = sealed.storage_bytes
     physical = sealed.physical_storage_bytes
     raw = corpus_raw_bytes([trace for _, trace in stream])
-    cold = sealed.cold_stats()
-
-    measurement = ColdMeasurement(
-        workload=workload_name,
-        deployment=deployment_name,
-        queries=len(queries),
-        identical=not violations,
-        logical_bytes=logical,
-        physical_bytes=physical,
-        savings_bytes=logical - physical,
-        end_to_end_ratio=raw / physical if physical else 0.0,
-        sealed_ratio=merged.ratio,
-        throughput_mb_s=merged.throughput_mb_s,
-        compaction=merged.as_dict(),
-        cold=cold,
-        violations=violations,
-    )
-    return measurement, sealed, reference_tables, sealed_tables
+    cell = {
+        "workload": workload_name,
+        "deployment": deployment_name,
+        "queries": len(queries),
+        "identical": not violations,
+        "logical_bytes": logical,
+        "physical_bytes": physical,
+        "savings_bytes": logical - physical,
+        "end_to_end_ratio": round(raw / physical if physical else 0.0, 3),
+        "sealed_ratio": round(merged.ratio, 3),
+        "throughput_mb_s": round(merged.throughput_mb_s, 3),
+        "compaction": merged.as_dict(),
+        "cold": sealed.cold_stats(),
+        "violations": violations,
+    }
+    return cell, sealed, sealed_tables
 
 
 def trained_vs_plain(framework: MintFramework) -> dict[str, Any]:
@@ -241,3 +199,89 @@ def baseline_ratios(stream: list[tuple[float, Trace]]) -> dict[str, Any]:
             "elapsed_seconds": round(time.perf_counter() - started, 6),
         }
     return out
+
+
+def measure(args) -> dict:
+    """Every (workload, deployment) cell plus the baselines' table."""
+    report: dict = {
+        "units": {
+            "end_to_end_ratio": "corpus raw bytes / physical storage bytes "
+            "after a full seal (higher is better; the baselines' ratio "
+            "divides the same numerator by their compressed bytes)",
+            "sealed_ratio": "logical store-time charges / compressed block "
+            "bytes over the sealed segments alone",
+            "throughput_mb_s": "logical MB sealed per second of compaction "
+            "wall clock",
+            "trained_vs_plain": "sealed params bytes with the trained "
+            "dictionary (dictionary included) vs the same codec without "
+            "one; improvement > 1.0 means the dictionary pays for itself",
+        },
+        "workloads": {},
+        "byte_tables": {},
+        "baselines": {},
+        "trained_vs_plain": {},
+    }
+    for name in args.workloads:
+        stream, queries = build_query_stream(name, args.traces)
+        report["baselines"][name] = baseline_ratios(stream)
+        cells = report["workloads"][name] = {}
+        tables = report["byte_tables"][name] = {}
+        for depl_name in args.deployments:
+            cell, framework, sealed_tables = measure_deployment(
+                name, depl_name, stream, queries, args.warmup_traces
+            )
+            cells[depl_name] = cell
+            tables[depl_name] = sealed_tables
+            if depl_name == args.deployments[0]:
+                report["trained_vs_plain"][name] = trained_vs_plain(framework)
+            print(
+                f"{name:16s} {depl_name:12s} "
+                f"ratio: {cell['end_to_end_ratio']:>7.2f}x  "
+                f"sealed: {cell['sealed_ratio']:>5.2f}x  "
+                f"compaction: {cell['throughput_mb_s']:>6.2f} MB/s"
+                + ("" if cell["identical"] else "  IDENTITY-VIOLATION")
+            )
+    return report
+
+
+def check(report: dict, args) -> list[str]:
+    failures: list[str] = []
+    for workload, cells in report["workloads"].items():
+        best_baseline = max(
+            entry["ratio"]
+            for entry in report["baselines"][workload].values()
+            if isinstance(entry, dict)
+        )
+        reference_tables = None
+        for depl_name, cell in cells.items():
+            label = f"{workload} {depl_name}"
+            if not cell["identical"]:
+                failures.append(f"{label}: {'; '.join(cell['violations'])}")
+            if cell["savings_bytes"] <= 0:
+                failures.append(
+                    f"{label}: sealing saved no physical bytes "
+                    f"({cell['physical_bytes']} physical vs "
+                    f"{cell['logical_bytes']} logical)"
+                )
+            if cell["end_to_end_ratio"] < best_baseline:
+                failures.append(
+                    f"{label}: end-to-end ratio {cell['end_to_end_ratio']:.2f}x "
+                    f"below the best log-compressor baseline "
+                    f"({best_baseline:.2f}x)"
+                )
+            tables = report["byte_tables"][workload][depl_name]
+            if reference_tables is None:
+                reference_tables = tables
+            elif tables != reference_tables:
+                failures.append(
+                    f"{label}: logical byte tables diverge across "
+                    f"deployments ({tables} != {reference_tables})"
+                )
+        trained = report["trained_vs_plain"][workload]
+        if trained["trained_bytes"] >= trained["plain_bytes"]:
+            failures.append(
+                f"{workload}: trained dictionary did not beat the plain "
+                f"codec ({trained['trained_bytes']} vs "
+                f"{trained['plain_bytes']} bytes)"
+            )
+    return failures

@@ -1,6 +1,8 @@
-"""Elastic deployment measurement: reshard identity, failover, autoscale.
+"""Elastic suite: reshard identity, failover convergence, autoscale.
 
-Three measurements back the gates of ``run_elastic_bench.py --check``:
+Three measurements back the three ``--check`` gates (a cell that looks
+green while the chaos evidence — parked reports, timeouts, the
+mid-outage probe — shows the fault injector never fired still fails):
 
 * **Reshard bit-identity** — a live ``from_n -> to_n`` migration (one
   host per ingested trace, ingest never pausing) must leave the
@@ -26,10 +28,6 @@ Three measurements back the gates of ``run_elastic_bench.py --check``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from sharded_bench import WORKLOAD_BUILDERS
-
 from repro.elastic.chaos import SHARD_CHAOS_PROFILES
 from repro.net.chaos import CHAOS_PROFILES
 from repro.net.transport import CHAOS_WIRE, NetworkDescriptor
@@ -39,11 +37,23 @@ from repro.sim.elastic import (
     run_reshard_experiment,
 )
 from repro.sim.loadtest import FIG14_LOAD_TESTS
-from repro.workloads.specs import Workload
+from repro.workloads import WORKLOAD_BUILDERS
 
-DEFAULT_TRACES = 300
-DEFAULT_WARMUP_TRACES = 50
-DEFAULT_PROFILES = tuple(sorted(SHARD_CHAOS_PROFILES))
+DEFAULTS = {
+    "traces": 300,
+    "warmup_traces": 50,
+    "workloads": list(WORKLOAD_BUILDERS),
+    "seed": 17,
+}
+FLAGS = {
+    "--profiles": dict(
+        nargs="+", default=sorted(SHARD_CHAOS_PROFILES), choices=sorted(SHARD_CHAOS_PROFILES)
+    ),
+    "--autoscale-scale": dict(
+        type=float, default=0.05,
+        help="fraction of the Fig. 14 load shape's full trace volume to drive",
+    ),
+}
 
 # (label, from_shards, to_shards, wire): the standard reshard cells —
 # a grow, a shrink, and a grow over the lossy batched wire.
@@ -53,49 +63,12 @@ RESHARD_CELLS: tuple[tuple[str, int, int, NetworkDescriptor | None], ...] = (
     ("grow-2to4-drop-wire", 2, 4, CHAOS_WIRE.with_chaos(CHAOS_PROFILES["drop"], seed=5)),
 )
 
-# The network wire commits reports up to a batch age after enqueue, so
-# outage windows for wire cells stretch over the delivery tail (ingest
-# windows would end before the delayed commits ever hit them).
-_WIRE_OUTAGE_FRACS = (0.3, 1.5)
 
-
-@dataclass
-class ReshardCell:
-    """One live-reshard run checked against the fresh deployment."""
-
-    workload: str
-    label: str
-    from_shards: int
-    to_shards: int
-    identical: bool
-    violations: list[str] = field(default_factory=list)
-    hosts_moved: int = 0
-    migration_bytes: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "label": self.label,
-            "from_shards": self.from_shards,
-            "to_shards": self.to_shards,
-            "identical": self.identical,
-            "violations": list(self.violations),
-            "hosts_moved": self.hosts_moved,
-            "migration_bytes": self.migration_bytes,
-        }
-
-
-def measure_reshard(
-    workload_name: str,
-    num_traces: int = DEFAULT_TRACES,
-    warmup_traces: int = DEFAULT_WARMUP_TRACES,
-    seed: int = 17,
-    cells: tuple[tuple[str, int, int, NetworkDescriptor | None], ...] = RESHARD_CELLS,
-) -> list[ReshardCell]:
+def measure_reshard(workload_name: str, num_traces: int, warmup_traces: int, seed: int) -> dict:
     """Gate (a): live resharding is bit-identical to a fresh deployment."""
-    workload: Workload = WORKLOAD_BUILDERS[workload_name]()
-    results: list[ReshardCell] = []
-    for label, from_shards, to_shards, network in cells:
+    workload = WORKLOAD_BUILDERS[workload_name]()
+    cells: dict[str, dict] = {}
+    for label, from_shards, to_shards, network in RESHARD_CELLS:
         outcome = run_reshard_experiment(
             workload,
             from_shards=from_shards,
@@ -105,86 +78,47 @@ def measure_reshard(
             auto_warmup_traces=warmup_traces,
             network=network,
         )
-        results.append(
-            ReshardCell(
-                workload=workload_name,
-                label=label,
-                from_shards=from_shards,
-                to_shards=to_shards,
-                identical=outcome.identical,
-                violations=outcome.violations,
-                hosts_moved=int(outcome.migration.get("hosts_moved", 0)),
-                migration_bytes=outcome.migration_bytes,
-            )
-        )
-    return results
-
-
-@dataclass
-class FailoverCell:
-    """One shard-chaos profile's behaviour during and after the outage."""
-
-    workload: str
-    profile: str
-    recoverable: bool
-    converged: bool
-    chaos_fired: bool
-    violations: list[str] = field(default_factory=list)
-    probed_mid_outage: bool = False
-    degraded_mid_outage: bool = False
-    permanently_degraded: bool = False
-    supervisor: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "profile": self.profile,
-            "recoverable": self.recoverable,
-            "converged": self.converged,
-            "chaos_fired": self.chaos_fired,
-            "violations": list(self.violations),
-            "probed_mid_outage": self.probed_mid_outage,
-            "degraded_mid_outage": self.degraded_mid_outage,
-            "permanently_degraded": self.permanently_degraded,
-            "supervisor": dict(self.supervisor),
+        cells[label] = {
+            "workload": workload_name,
+            "label": label,
+            "from_shards": from_shards,
+            "to_shards": to_shards,
+            "identical": outcome.identical,
+            "violations": outcome.violations,
+            "hosts_moved": int(outcome.migration.get("hosts_moved", 0)),
+            "migration_bytes": outcome.migration_bytes,
         }
+    return cells
 
 
-def _chaos_evidence(cell: FailoverCell) -> list[str]:
+def _chaos_evidence(cell: dict) -> list[str]:
     """Why a green-looking failover cell cannot be trusted (if at all).
 
-    Mirrors the net bench's evidence check: a disabled fault injector
+    Mirrors the net suite's evidence check: a disabled fault injector
     must fail the gate, not greenwash it."""
     missing: list[str] = []
-    stats = cell.supervisor
+    stats = cell["supervisor"]
     if not stats or stats.get("parked", 0) == 0:
         missing.append("no report was ever parked")
-    if "crash" in cell.profile and stats.get("timeouts", 0) == 0:
+    if "crash" in cell["profile"] and stats.get("timeouts", 0) == 0:
         missing.append("no delivery ever timed out against the dead shard")
-    if "crash" in cell.profile and not cell.probed_mid_outage:
+    if "crash" in cell["profile"] and not cell["probed_mid_outage"]:
         missing.append("the mid-outage query probe never ran")
-    if cell.recoverable and stats.get("replayed", 0) == 0:
+    if cell["recoverable"] and stats.get("replayed", 0) == 0:
         missing.append("nothing was replayed after recovery")
-    if not cell.recoverable and not cell.permanently_degraded:
+    if not cell["recoverable"] and not cell["permanently_degraded"]:
         missing.append("a permanent crash left answers unchanged")
     return missing
 
 
 def measure_failover(
-    workload_name: str,
-    num_traces: int = DEFAULT_TRACES,
-    warmup_traces: int = DEFAULT_WARMUP_TRACES,
-    seed: int = 17,
-    profiles: tuple[str, ...] = DEFAULT_PROFILES,
-    network: NetworkDescriptor | None = None,
-) -> list[FailoverCell]:
+    workload_name: str, num_traces: int, warmup_traces: int, seed: int, profiles
+) -> dict:
     """Gate (b): every chaos profile degrades gracefully and converges."""
-    workload: Workload = WORKLOAD_BUILDERS[workload_name]()
-    fracs = _WIRE_OUTAGE_FRACS if network is not None else (0.2, 0.5)
-    results: list[FailoverCell] = []
+    workload = WORKLOAD_BUILDERS[workload_name]()
+    cells: dict[str, dict] = {}
     for profile_name in profiles:
         profile = SHARD_CHAOS_PROFILES[profile_name]
-        recoverable = all(not o.is_permanent for o in profile.outages)
         outcome = run_failover_experiment(
             workload,
             profile=profile,
@@ -192,98 +126,125 @@ def measure_failover(
             num_traces=num_traces,
             seed=seed,
             auto_warmup_traces=warmup_traces,
-            network=network,
-            outage_start_frac=fracs[0],
-            outage_end_frac=fracs[1],
         )
-        cell = FailoverCell(
-            workload=workload_name,
-            profile=profile_name,
-            recoverable=recoverable,
-            converged=outcome.converged,
-            chaos_fired=True,
-            violations=outcome.violations,
-            probed_mid_outage=outcome.probed_mid_outage,
-            degraded_mid_outage=outcome.degraded_mid_outage,
-            permanently_degraded=outcome.permanently_degraded,
-            supervisor=outcome.supervisor,
-        )
-        evidence = _chaos_evidence(cell)
-        if evidence:
-            cell.chaos_fired = False
-            cell.violations = cell.violations + [
-                f"chaos evidence missing: {reason}" for reason in evidence
-            ]
-        results.append(cell)
-    return results
-
-
-@dataclass
-class AutoscaleCell:
-    """One Fig. 14 load shape with chaos and the autoscaler attached."""
-
-    workload: str
-    test: str
-    profile: str
-    converged: bool
-    scaled: bool
-    violations: list[str] = field(default_factory=list)
-    start_shards: int = 0
-    final_shards: int = 0
-    peak_depth: int = 0
-    scale_events: list[dict] = field(default_factory=list)
-    supervisor: dict = field(default_factory=dict)
-    migration_bytes: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "test": self.test,
-            "profile": self.profile,
-            "converged": self.converged,
-            "scaled": self.scaled,
-            "violations": list(self.violations),
-            "start_shards": self.start_shards,
-            "final_shards": self.final_shards,
-            "peak_depth": self.peak_depth,
-            "scale_events": list(self.scale_events),
-            "supervisor": dict(self.supervisor),
-            "migration_bytes": self.migration_bytes,
+        cell = {
+            "workload": workload_name,
+            "profile": profile_name,
+            "recoverable": all(not o.is_permanent for o in profile.outages),
+            "converged": outcome.converged,
+            "violations": outcome.violations,
+            "probed_mid_outage": outcome.probed_mid_outage,
+            "degraded_mid_outage": outcome.degraded_mid_outage,
+            "permanently_degraded": outcome.permanently_degraded,
+            "supervisor": outcome.supervisor,
         }
+        evidence = _chaos_evidence(cell)
+        cell["chaos_fired"] = not evidence
+        cell["violations"] = cell["violations"] + [
+            f"chaos evidence missing: {reason}" for reason in evidence
+        ]
+        cells[profile_name] = cell
+    return cells
 
 
-def measure_autoscale(
-    workload_name: str,
-    scale: float = 0.05,
-    seed: int = 21,
-    network: NetworkDescriptor | None = None,
-) -> AutoscaleCell:
+def measure_autoscale(workload_name: str, scale: float, seed: int) -> dict:
     """Gate (c): queue-depth pressure triggers a converging reshard."""
-    workload: Workload = WORKLOAD_BUILDERS[workload_name]()
     spec = FIG14_LOAD_TESTS[4]  # T5: the 1000-qps shape
-    fracs = _WIRE_OUTAGE_FRACS if network is not None else (0.2, 0.5)
     outcome = run_elastic_load_test(
         spec,
-        workload,
+        WORKLOAD_BUILDERS[workload_name](),
         profile="crash_restart",
         start_shards=2,
         scale=scale,
         seed=seed,
-        network=network,
-        outage_start_frac=fracs[0],
-        outage_end_frac=fracs[1],
     )
-    return AutoscaleCell(
-        workload=workload_name,
-        test=spec.name,
-        profile=outcome.profile,
-        converged=outcome.converged,
-        scaled=bool(outcome.scale_events),
-        violations=outcome.violations,
-        start_shards=outcome.start_shards,
-        final_shards=outcome.final_shards,
-        peak_depth=outcome.peak_depth,
-        scale_events=outcome.scale_events,
-        supervisor=outcome.supervisor,
-        migration_bytes=outcome.migration_bytes,
+    return {
+        "workload": workload_name,
+        "test": spec.name,
+        "profile": outcome.profile,
+        "converged": outcome.converged,
+        "scaled": bool(outcome.scale_events),
+        "violations": outcome.violations,
+        "start_shards": outcome.start_shards,
+        "final_shards": outcome.final_shards,
+        "peak_depth": outcome.peak_depth,
+        "scale_events": outcome.scale_events,
+        "supervisor": outcome.supervisor,
+        "migration_bytes": outcome.migration_bytes,
+    }
+
+
+def measure(args) -> dict:
+    """Every reshard, failover and autoscale cell."""
+    report: dict = {
+        "units": {
+            "migration_bytes": "reshard traffic charged on the separate "
+            "migration meter only (never the network meter or shard ledgers)",
+            "peak_depth": "maximum per-shard pending-report depth the "
+            "autoscaler observed (send queues + supervisor parked queues)",
+        },
+        "reshard": {},
+        "failover": {},
+        "autoscale": {},
+        "gates": {},
+    }
+    for name in args.workloads:
+        reshard = report["reshard"][name] = measure_reshard(
+            name, args.traces, args.warmup_traces, args.seed
+        )
+        line = f"{name:16s} reshard:"
+        for cell in reshard.values():
+            verdict = "ok" if cell["identical"] else "FAIL"
+            line += f"  {cell['label']}={verdict} ({cell['migration_bytes']}B moved)"
+        print(line)
+
+        failover = report["failover"][name] = measure_failover(
+            name, args.traces, args.warmup_traces, args.seed, args.profiles
+        )
+        line = f"{name:16s} failover:"
+        for cell in failover.values():
+            verdict = "ok" if cell["converged"] and cell["chaos_fired"] else "FAIL"
+            line += f"  {cell['profile']}={verdict} (parked {cell['supervisor'].get('parked', 0)})"
+        print(line)
+
+        autoscale = report["autoscale"][name] = measure_autoscale(
+            name, args.autoscale_scale, args.seed + 4
+        )
+        verdict = "ok" if autoscale["converged"] and autoscale["scaled"] else "FAIL"
+        print(
+            f"{name:16s} autoscale:  {autoscale['test']}={verdict} "
+            f"({autoscale['start_shards']}->{autoscale['final_shards']} shards, "
+            f"peak depth {autoscale['peak_depth']})"
+        )
+
+    report["gates"]["reshard_identity"] = all(
+        cell["identical"]
+        for by_label in report["reshard"].values()
+        for cell in by_label.values()
     )
+    report["gates"]["failover_convergence"] = all(
+        cell["converged"] and cell["chaos_fired"]
+        for by_profile in report["failover"].values()
+        for cell in by_profile.values()
+    )
+    report["gates"]["autoscale_fired"] = all(
+        cell["converged"] and cell["scaled"]
+        for cell in report["autoscale"].values()
+    )
+    return report
+
+
+def check(report: dict, args) -> list[str]:
+    failures: list[str] = []
+    for name, by_label in report["reshard"].items():
+        for label, cell in by_label.items():
+            if not cell["identical"]:
+                failures.append(f"{name} reshard-{label}: {'; '.join(cell['violations'])}")
+    for name, by_profile in report["failover"].items():
+        for profile, cell in by_profile.items():
+            if not (cell["converged"] and cell["chaos_fired"]):
+                failures.append(f"{name} failover-{profile}: {'; '.join(cell['violations'])}")
+    for name, cell in report["autoscale"].items():
+        if not (cell["converged"] and cell["scaled"]):
+            failures.append(f"{name} autoscale: {'; '.join(cell['violations'])}")
+    return failures

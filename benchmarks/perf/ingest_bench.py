@@ -1,4 +1,11 @@
-"""Ingest throughput + latency measurement for the Mint agent.
+"""Ingest suite: warm-pattern agent throughput vs the frozen seed.
+
+Measures warm agent ingest (spans/sec, p50/p99 per-trace latency) over
+the OnlineBoutique, TrainTicket and Alibaba workloads and re-measures
+the same streams under the seed implementation (:mod:`seed_reference`).
+``--check`` gates: warm ingest stays at least ``--min-speedup`` times
+the seed's spans/sec on every workload, and the incremental byte
+estimator agrees with the JSON ruler on every measured record.
 
 One measurement = one workload streamed through per-node
 :class:`MintAgent` instances (the paper's hot path: parse, mount,
@@ -19,79 +26,40 @@ is the steady state the paper cares about: warm patterns, cold bytes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+
+from common import build_stream, per_second
+from seed_reference import seed_mode, seed_params_size_bytes
 
 from repro.agent.agent import MintAgent
 from repro.agent.config import MintConfig
 from repro.model.trace import SubTrace, Trace
-from repro.sim.experiment import generate_stream
 from repro.sim.meters import LatencyStats
-from repro.workloads import build_dataset, build_onlineboutique, build_trainticket
-from repro.workloads.specs import Workload
+from repro.workloads import WORKLOAD_BUILDERS
 
-# The three workloads the paper evaluates end to end.  Alibaba uses
-# dataset A of Fig. 13 (the largest topology mix of the six).
-WORKLOAD_BUILDERS: dict[str, Callable[[], Workload]] = {
-    "onlineboutique": build_onlineboutique,
-    "trainticket": build_trainticket,
-    "alibaba": lambda: build_dataset("A"),
-}
-
-DEFAULT_TRACES = 400
-DEFAULT_WARMUP_TRACES = 120
-# Per-workload stream scale: the measured window must sit in the warm
-# steady state, so warm-up scales with the workload's vocabulary.
-# TrainTicket's 45 services take several hundred traces before its
-# attribute vocabularies converge; the 10-service workloads are warm
-# far sooner.
+# Per-workload (traces, warm-up) stream scale: the measured window must
+# sit in the warm steady state, so warm-up scales with the workload's
+# vocabulary.  TrainTicket's 45 services take several hundred traces
+# before its attribute vocabularies converge; the 10-service workloads
+# are warm far sooner.
 WORKLOAD_SCALE: dict[str, tuple[int, int]] = {
     "onlineboutique": (400, 120),
     "trainticket": (800, 400),
     "alibaba": (400, 120),
+}
+# --traces / --warmup-traces override the per-workload scale.
+DEFAULTS = {"traces": None, "warmup_traces": None, "workloads": list(WORKLOAD_BUILDERS)}
+FLAGS = {
+    "--quick": dict(action="store_true", help="skip the seed-mode baseline re-measurement"),
+    "--min-speedup": dict(type=float, default=3.0, help="gate: fast / seed spans/sec floor"),
 }
 # Best-of-N throughput repeats: one batch interval is tens of
 # milliseconds, so a single sample is at the mercy of scheduler noise.
 THROUGHPUT_REPEATS = 5
 
 
-@dataclass
-class IngestMeasurement:
-    """One workload's numbers, in the units BENCH_ingest.json records."""
-
-    workload: str
-    traces: int
-    sub_traces: int
-    spans: int
-    elapsed_seconds: float
-    spans_per_sec: float
-    sub_traces_per_sec: float
-    p50_ms: float
-    p99_ms: float
-    mean_ms: float
-
-    def as_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "traces": self.traces,
-            "sub_traces": self.sub_traces,
-            "spans": self.spans,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "spans_per_sec": round(self.spans_per_sec, 1),
-            "sub_traces_per_sec": round(self.sub_traces_per_sec, 1),
-            "p50_ms": round(self.p50_ms, 4),
-            "p99_ms": round(self.p99_ms, 4),
-            "mean_ms": round(self.mean_ms, 4),
-        }
-
-
-def build_traces(
-    workload_name: str, num_traces: int = DEFAULT_TRACES, seed: int = 11
-) -> list[Trace]:
+def build_traces(workload_name: str, num_traces: int) -> list[Trace]:
     """Deterministic trace stream for one named workload."""
-    workload = WORKLOAD_BUILDERS[workload_name]()
-    stream, _ = generate_stream(workload, num_traces, abnormal_rate=0.02, seed=seed)
-    return [trace for _, trace in stream]
+    return [trace for _, trace in build_stream(workload_name, num_traces, seed=11)]
 
 
 def _agents_for(traces: list[Trace], config: MintConfig) -> dict[str, MintAgent]:
@@ -171,92 +139,139 @@ def _measurement(
     sub_trace_count: int,
     elapsed: float,
     stats: LatencyStats,
-) -> IngestMeasurement:
-    return IngestMeasurement(
-        workload=workload_name,
-        traces=len(measured),
-        sub_traces=sub_trace_count,
-        spans=span_count,
-        elapsed_seconds=elapsed,
-        spans_per_sec=span_count / elapsed if elapsed > 0 else 0.0,
-        sub_traces_per_sec=sub_trace_count / elapsed if elapsed > 0 else 0.0,
-        p50_ms=stats.p50 * 1000.0,
-        p99_ms=stats.p99 * 1000.0,
-        mean_ms=stats.mean * 1000.0,
-    )
+) -> dict:
+    """One workload's numbers, in the units BENCH_ingest.json records."""
+    return {
+        "workload": workload_name,
+        "traces": len(measured),
+        "sub_traces": sub_trace_count,
+        "spans": span_count,
+        "elapsed_seconds": round(elapsed, 6),
+        "spans_per_sec": round(per_second(span_count, elapsed), 1),
+        "sub_traces_per_sec": round(per_second(sub_trace_count, elapsed), 1),
+        "p50_ms": round(stats.p50 * 1000.0, 4),
+        "p99_ms": round(stats.p99 * 1000.0, 4),
+        "mean_ms": round(stats.mean * 1000.0, 4),
+    }
 
 
 def measure_ingest(
-    workload_name: str,
-    traces: list[Trace] | None = None,
-    num_traces: int = DEFAULT_TRACES,
-    warmup_traces: int = DEFAULT_WARMUP_TRACES,
-    config: MintConfig | None = None,
-    seed: int = 11,
-) -> IngestMeasurement:
-    """Measure warm-pattern ingest for one workload.
+    workload_name: str, traces: list[Trace], warmup_traces: int, with_baseline: bool = True
+) -> tuple[dict, dict | None]:
+    """Measure warm-pattern ingest, fast and (optionally) under seed mode.
 
     Builds fresh agents, warms them on the stream's head, then times the
     tail — batched for throughput (best-of-N fresh-agent repeats, the
     minimum interval being the least-noise estimate), per-trace for
-    latency percentiles.
+    latency percentiles.  Fast and seed repeats alternate so slow
+    host-level drift (noisy-neighbour VMs, thermal throttling) hits
+    both sides equally instead of biasing whichever ran second.
     """
-    config = config or MintConfig()
-    traces = traces if traces is not None else build_traces(workload_name, num_traces, seed)
+    config = MintConfig()
     warmup, measured, batches, span_count, sub_trace_count = _prepare(
         traces, warmup_traces
     )
-    elapsed = float("inf")
-    for _ in range(THROUGHPUT_REPEATS):
-        elapsed = min(elapsed, _throughput_once(traces, warmup, batches, config))
-    stats = _latency_stats(traces, warmup, measured, config, f"{workload_name}-ingest")
-    return _measurement(
-        workload_name, measured, span_count, sub_trace_count, elapsed, stats
-    )
-
-
-def measure_ingest_pair(
-    workload_name: str,
-    baseline_mode,
-    traces: list[Trace] | None = None,
-    num_traces: int = DEFAULT_TRACES,
-    warmup_traces: int = DEFAULT_WARMUP_TRACES,
-    config: MintConfig | None = None,
-    seed: int = 11,
-) -> tuple[IngestMeasurement, IngestMeasurement]:
-    """Measure fast and baseline implementations interleaved.
-
-    ``baseline_mode`` is a context manager (``seed_reference.seed_mode``)
-    that swaps the seed hot paths in.  Fast and baseline repeats
-    alternate so slow host-level drift (noisy-neighbour VMs, thermal
-    throttling) hits both sides equally instead of biasing whichever
-    happened to run second.
-    """
-    config = config or MintConfig()
-    traces = traces if traces is not None else build_traces(workload_name, num_traces, seed)
-    warmup, measured, batches, span_count, sub_trace_count = _prepare(
-        traces, warmup_traces
-    )
-    fast_elapsed = float("inf")
-    base_elapsed = float("inf")
+    fast_elapsed = seed_elapsed = float("inf")
     for _ in range(THROUGHPUT_REPEATS):
         fast_elapsed = min(fast_elapsed, _throughput_once(traces, warmup, batches, config))
-        with baseline_mode():
-            base_elapsed = min(
-                base_elapsed, _throughput_once(traces, warmup, batches, config)
-            )
-    fast_stats = _latency_stats(
-        traces, warmup, measured, config, f"{workload_name}-ingest"
+        if with_baseline:
+            with seed_mode():
+                seed_elapsed = min(
+                    seed_elapsed, _throughput_once(traces, warmup, batches, config)
+                )
+    fast = _measurement(
+        workload_name, measured, span_count, sub_trace_count, fast_elapsed,
+        _latency_stats(traces, warmup, measured, config, f"{workload_name}-ingest"),
     )
-    with baseline_mode():
-        base_stats = _latency_stats(
+    if not with_baseline:
+        return fast, None
+    with seed_mode():
+        seed_stats = _latency_stats(
             traces, warmup, measured, config, f"{workload_name}-ingest-seed"
         )
-    return (
-        _measurement(
-            workload_name, measured, span_count, sub_trace_count, fast_elapsed, fast_stats
-        ),
-        _measurement(
-            workload_name, measured, span_count, sub_trace_count, base_elapsed, base_stats
-        ),
+    return fast, _measurement(
+        workload_name, measured, span_count, sub_trace_count, seed_elapsed, seed_stats
     )
+
+
+def verify_byte_invariant(traces: list[Trace]) -> int:
+    """Assert the fast sizer matches the JSON ruler span by span.
+
+    Returns the number of records checked; raises AssertionError on the
+    first divergence (the fast estimator must be an optimisation of the
+    byte ruler, never a re-definition of it).
+    """
+    agent_by_node: dict[str, MintAgent] = {}
+    checked = 0
+    for trace in traces:
+        for sub_trace in trace.sub_traces():
+            agent = agent_by_node.get(sub_trace.node)
+            if agent is None:
+                agent = MintAgent(node=sub_trace.node)
+                agent_by_node[sub_trace.node] = agent
+            result = agent.ingest(sub_trace)
+            assert result.parsed is not None
+            for span in result.parsed.parsed_spans:
+                fast = span.params_size_bytes()
+                ruler = seed_params_size_bytes(span)
+                if fast != ruler:
+                    raise AssertionError(
+                        f"byte-accounting invariant broken for span "
+                        f"{span.span_id}: fast={fast} ruler={ruler}"
+                    )
+                checked += 1
+    return checked
+
+
+def measure(args) -> dict:
+    """Every workload fast and (unless ``--quick``) under seed mode."""
+    report: dict = {
+        "units": {
+            "spans_per_sec": "spans ingested per wall-clock second (warm patterns, batched)",
+            "p50_ms/p99_ms": "per-trace agent ingest latency percentiles, milliseconds",
+        },
+        "workloads": {},
+        "baseline_seed": {},
+        "speedup_spans_per_sec": {},
+    }
+    for name in args.workloads:
+        default_total, default_warm = WORKLOAD_SCALE[name]
+        fast, seed = measure_ingest(
+            name,
+            build_traces(name, args.traces or default_total),
+            args.warmup_traces or default_warm,
+            with_baseline=not args.quick,
+        )
+        report["workloads"][name] = fast
+        line = (
+            f"{name:16s} fast: {fast['spans_per_sec']:>10.0f} spans/s  "
+            f"p50 {fast['p50_ms']:7.3f} ms  p99 {fast['p99_ms']:7.3f} ms"
+        )
+        if seed is not None:
+            report["baseline_seed"][name] = seed
+            speedup = (
+                fast["spans_per_sec"] / seed["spans_per_sec"] if seed["spans_per_sec"] else 0.0
+            )
+            report["speedup_spans_per_sec"][name] = round(speedup, 2)
+            line += (
+                f"  | seed: {seed['spans_per_sec']:>10.0f} spans/s"
+                f"  speedup {speedup:5.2f}x"
+            )
+        print(line)
+    if report["speedup_spans_per_sec"]:
+        report["min_speedup"] = round(min(report["speedup_spans_per_sec"].values()), 2)
+    if args.check:
+        checked = verify_byte_invariant(build_traces(args.workloads[0], 60))
+        report["byte_invariant_records_checked"] = checked
+        print(f"byte-accounting invariant: {checked} records checked, all exact")
+    return report
+
+
+def check(report: dict, args) -> list[str]:
+    if not report["speedup_spans_per_sec"]:
+        return ["--check requires the seed baseline (drop --quick)"]
+    return [
+        f"{name}: speedup {speedup:.2f}x < required {args.min_speedup:.2f}x"
+        for name, speedup in report["speedup_spans_per_sec"].items()
+        if speedup < args.min_speedup
+    ]

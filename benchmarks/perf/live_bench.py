@@ -1,4 +1,4 @@
-"""Live-plane measurement: subscription identity, meter separation, storms.
+"""Live suite: subscription identity, meter separation, analyst storms.
 
 Three claims the live analyst plane makes, each measured end to end:
 
@@ -18,55 +18,63 @@ Three claims the live analyst plane makes, each measured end to end:
   :mod:`repro.sim.storm` harness fires a seeded ≥1000-QPS query storm
   mid-ingest (wire latency included in every reported percentile) and
   must leave the run's fingerprint bit-identical to a quiet control.
+
+``--check`` gates:
+
+* **identity** — any subscription's accumulated hit set (ids or
+  delivered statuses) differs from its spec's post-hoc batch answer on
+  any topology (single, sharded, behind a *lossy* wire), or no
+  topology streamed a push mid-ingest (everything settling at finalize
+  would make the plane a batch query in disguise);
+* **separation** — any fig02/fig11 byte table, per-minute meter
+  series or query signature moved between the subscribed run and its
+  subscription-free control, or push traffic failed to land on (and
+  only on) the ``push`` meter;
+* **storm** — the storm harness fell short of the target analyst QPS
+  in simulated time, the host could not have executed the queries at
+  that rate (wall capacity), the reported percentiles exclude the
+  wire, or the storm run's fingerprint diverged from the quiet
+  control's.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Any
 
-from sharded_bench import WORKLOAD_BUILDERS, build_stream, byte_tables, query_signature
+from common import build_stream, only_workload
 
+from repro.concurrent.verify import compare_fingerprints, fingerprint
 from repro.framework import MintFramework
 from repro.net.chaos import CHAOS_PROFILES
 from repro.net.transport import CHAOS_WIRE
 from repro.query.spec import QuerySpec
-from repro.sim.storm import run_storm
+from repro.sim.experiment import drive
+from repro.sim.storm import CONVERGENCE_KEYS, run_storm
 from repro.transport import Deployment
 
-__all__ = [
-    "DEFAULT_STORM_QPS",
-    "DEFAULT_STORM_TRACES",
-    "DEFAULT_TOPOLOGY_NAMES",
-    "DEFAULT_TRACES",
-    "LiveIdentityCell",
-    "WORKLOAD_BUILDERS",
-    "build_live_stream",
-    "identity_sweep",
-    "live_topologies",
-    "run_storm_pair",
-    "subscription_specs",
-]
-
-DEFAULT_TRACES = 400
-DEFAULT_STORM_TRACES = 600
-DEFAULT_STORM_QPS = 1000.0
-#: The identity sweep's topologies: the acceptance gate's three —
-#: single in-process, sharded, and single behind a *lossy* wire (drop
-#: chaos), so the reliable push links are on the measured path.
-DEFAULT_TOPOLOGY_NAMES = ("single", "sharded-2", "net-lossy")
-
-
-def live_topologies() -> dict[str, Any]:
-    """Deployment factories for the identity sweep."""
-    return {
-        "single": lambda: Deployment.single(),
-        "sharded-2": lambda: Deployment.sharded(2),
-        "net-lossy": lambda: Deployment.single(
-            network=CHAOS_WIRE.with_chaos(CHAOS_PROFILES["drop"])
-        ),
-    }
+# Deployment factories for the identity sweep — the acceptance gate's
+# three: single in-process, sharded, and single behind a *lossy* wire
+# (drop chaos), so the reliable push links are on the measured path.
+TOPOLOGIES = {
+    "single": lambda: Deployment.single(),
+    "sharded-2": lambda: Deployment.sharded(2),
+    "net-lossy": lambda: Deployment.single(
+        network=CHAOS_WIRE.with_chaos(CHAOS_PROFILES["drop"])
+    ),
+}
+DEFAULTS = {"traces": 400, "workloads": ["onlineboutique"], "seed": 23}
+FLAGS = {
+    "--topologies": dict(
+        nargs="+", default=list(TOPOLOGIES), choices=list(TOPOLOGIES),
+        help="identity-sweep topologies",
+    ),
+    "--storm-traces": dict(type=int, default=600),
+    "--storm-qps": dict(
+        type=float, default=1000.0,
+        help="target analyst QPS for the storm (also the gate's floor)",
+    ),
+}
 
 
 def subscription_specs(stream) -> dict[str, QuerySpec]:
@@ -94,65 +102,20 @@ def subscription_specs(stream) -> dict[str, QuerySpec]:
     }
 
 
-@dataclass
-class LiveIdentityCell:
-    """One topology's subscription-vs-batch and separation comparison."""
-
-    topology: str
-    identical: bool
-    violations: list[str] = field(default_factory=list)
-    subscriptions: list[dict[str, Any]] = field(default_factory=list)
-    push_bytes: int = 0
-    pushes_streamed: int = 0
-    pushes_settled: int = 0
-    duplicates: int = 0
-    dropped: int = 0
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "topology": self.topology,
-            "identical": self.identical,
-            "violations": list(self.violations),
-            "subscriptions": list(self.subscriptions),
-            "push_bytes": self.push_bytes,
-            "pushes_streamed": self.pushes_streamed,
-            "pushes_settled": self.pushes_settled,
-            "duplicates": self.duplicates,
-            "dropped": self.dropped,
-        }
-
-
-def _drive(factory, stream, specs) -> tuple[MintFramework, list]:
-    framework = MintFramework(deployment=factory())
-    subs = [framework.subscribe(spec) for spec in specs]
-    last_now = 0.0
-    for now, trace in stream:
-        framework.process_trace(trace, now)
-        last_now = now
-    framework.finalize(last_now)
-    return framework, subs
-
-
-def _meter_series(framework: MintFramework) -> list[tuple[int, int]]:
-    return list(framework.ledger.network.per_minute_series())
-
-
-def identity_cell(name: str, factory, stream) -> LiveIdentityCell:
+def identity_cell(name: str, stream) -> dict[str, Any]:
     """Drive one topology with and without the subscription panel.
 
     The subscribed run yields the accumulated hit sets (compared, ids
     and statuses both, against the same specs run post hoc); the bare
-    run is the separation control — every byte table the paper's
-    figures read must be identical between the two.
+    run is the separation control — everything the paper's figures read
+    must be identical between the two.
     """
     specs = subscription_specs(stream)
-    subscribed, subs = _drive(factory, stream, specs.values())
-    bare = MintFramework(deployment=factory())
-    last_now = 0.0
-    for now, trace in stream:
-        bare.process_trace(trace, now)
-        last_now = now
-    bare.finalize(last_now)
+    subscribed = MintFramework(deployment=TOPOLOGIES[name]())
+    subs = [subscribed.subscribe(spec) for spec in specs.values()]
+    bare = MintFramework(deployment=TOPOLOGIES[name]())
+    drive(subscribed, stream)
+    drive(bare, stream)
 
     violations: list[str] = []
     rows: list[dict[str, Any]] = []
@@ -180,49 +143,40 @@ def identity_cell(name: str, factory, stream) -> LiveIdentityCell:
             }
         )
 
-    tables_sub, tables_bare = byte_tables(subscribed), byte_tables(bare)
-    for key, value in tables_sub.items():
-        if value != tables_bare[key]:
-            violations.append(
-                f"{key}: subscribed {value} != bare {tables_bare[key]}"
-            )
-    if _meter_series(subscribed) != _meter_series(bare):
-        violations.append("per-minute network series moved under subscriptions")
-    if query_signature(subscribed, stream) != query_signature(bare, stream):
-        violations.append("query signatures diverge under subscriptions")
+    violations.extend(
+        compare_fingerprints(
+            fingerprint(bare, stream),
+            fingerprint(subscribed, stream),
+            label="subscribed",
+            # The storm's contract with its quiet control, verbatim:
+            # push traffic has its own meter, the figures do not move.
+            keys=CONVERGENCE_KEYS,
+        )
+    )
     if subscribed.push_bytes <= 0:
         violations.append("push meter never charged despite delivered pushes")
     if bare.push_bytes != 0:
         violations.append(f"bare run charged {bare.push_bytes} push bytes")
 
     stats = subscribed.live_stats()
-    cell = LiveIdentityCell(
-        topology=name,
-        identical=not violations,
-        violations=violations,
-        subscriptions=rows,
-        push_bytes=subscribed.push_bytes,
-        pushes_streamed=stats["pushes_streamed"],
-        pushes_settled=stats["pushes_settled"],
-        duplicates=stats["duplicates"],
-        dropped=stats["dropped"],
-    )
+    cell = {
+        "topology": name,
+        "identical": not violations,
+        "violations": violations,
+        "subscriptions": rows,
+        "push_bytes": subscribed.push_bytes,
+        "pushes_streamed": stats["pushes_streamed"],
+        "pushes_settled": stats["pushes_settled"],
+        "duplicates": stats["duplicates"],
+        "dropped": stats["dropped"],
+    }
     subscribed.close()
     bare.close()
     return cell
 
 
-def identity_sweep(stream, topology_names=DEFAULT_TOPOLOGY_NAMES):
-    """The full subscription-identity sweep over the gate topologies."""
-    factories = live_topologies()
-    return [identity_cell(name, factories[name], stream) for name in topology_names]
-
-
 def run_storm_pair(
-    workload_name: str,
-    num_traces: int = DEFAULT_STORM_TRACES,
-    storm_qps: float = DEFAULT_STORM_QPS,
-    seed: int = 23,
+    workload_name: str, num_traces: int, storm_qps: float, seed: int
 ) -> dict[str, Any]:
     """One storm run plus its quiet control; convergence folded in."""
     storm = run_storm(
@@ -238,16 +192,96 @@ def run_storm_pair(
         seed=seed,
         subscribe_errors=False,
     )
-    converged = storm.fingerprint == quiet.fingerprint
     report = storm.as_dict()
-    # The full fingerprints stay out of the report (per-minute series
-    # are bulky); the gate needs only the verdict.
-    report.pop("fingerprint", None)
-    report["converged"] = converged
+    report["converged"] = not compare_fingerprints(
+        quiet.fingerprint, storm.fingerprint, keys=CONVERGENCE_KEYS
+    )
     return report
 
 
-def build_live_stream(workload_name: str, num_traces: int, seed: int = 17):
-    """The identity stream (same generator as the sharded/obs benches,
-    so live numbers are comparable to those suites')."""
-    return build_stream(workload_name, num_traces, seed=seed)
+def measure(args) -> dict:
+    """The identity/separation sweep and the storm pair."""
+    workload = only_workload(args)
+    report: dict = {
+        "units": {
+            "push_bytes": "bytes charged on the transport's push meter "
+            "(subscription notifications only — never the network meter)",
+            "p99_ms": "99th-percentile analyst query latency in "
+            "milliseconds, modeled wire round trip included",
+        },
+        "identity": {},
+    }
+    # The same generator as the sharded/obs suites, so live numbers are
+    # comparable to theirs.
+    stream = build_stream(workload, args.traces)
+    for name in args.topologies:
+        cell = report["identity"][name] = identity_cell(name, stream)
+        print(
+            f"identity {name:12s} "
+            + (
+                f"bit-identical ({cell['pushes_streamed']} streamed, "
+                f"{cell['pushes_settled']} settled, {cell['push_bytes']} push bytes)"
+                if cell["identical"]
+                else "VIOLATION: " + "; ".join(cell["violations"])
+            )
+        )
+
+    storm = report["storm"] = run_storm_pair(
+        workload, args.storm_traces, args.storm_qps, args.seed
+    )
+    print(
+        f"storm {storm['issued']} queries @ {storm['sim_qps']:.0f} QPS sim "
+        f"(capacity {storm['wall_capacity_qps']:.0f} QPS), "
+        f"p99 {storm['p99_ms']:.3f}ms (wire p99 {storm['wire_p99_ms']:.3f}ms), "
+        + ("converged with quiet control" if storm["converged"]
+           else "DIVERGED from quiet control")
+    )
+    return report
+
+
+def check(report: dict, args) -> list[str]:
+    failures: list[str] = []
+    identity = report["identity"]
+    for name, cell in identity.items():
+        if not cell["identical"]:
+            failures.append(f"identity {name}: {'; '.join(cell['violations'])}")
+    if len(identity) < 3:
+        failures.append(
+            f"identity sweep covers {len(identity)} topologies, "
+            "expected single + sharded + lossy-net"
+        )
+    if not any(cell["pushes_streamed"] > 0 for cell in identity.values()):
+        failures.append(
+            "no topology streamed a push mid-ingest — the plane degenerated "
+            "into a finalize-time batch query"
+        )
+    storm = report["storm"]
+    # A hair under the target is floating-point rounding on the
+    # schedule's duration quotient, not a sustained-rate miss.
+    if storm["sim_qps"] < args.storm_qps * 0.995:
+        failures.append(
+            f"storm sustained {storm['sim_qps']:.1f} QPS in simulated time, "
+            f"target {args.storm_qps:.0f}"
+        )
+    if storm["wall_capacity_qps"] < args.storm_qps:
+        failures.append(
+            f"storm wall-clock capacity {storm['wall_capacity_qps']:.1f} QPS "
+            f"below target {args.storm_qps:.0f} — the host cannot execute "
+            "queries at the claimed rate"
+        )
+    if storm["wire_p99_ms"] <= 0.0:
+        failures.append(
+            "storm wire p99 is zero — reported latency excludes the wire"
+        )
+    if not storm["converged"]:
+        failures.append(
+            "storm fingerprint diverged from the quiet control — analyst "
+            "load perturbed the figures"
+        )
+    sub = storm.get("subscription")
+    if sub is None or sub["hits"] <= 0:
+        failures.append(
+            "the storm's standing error subscription accumulated no hits — "
+            "the push plane was not exercised under load"
+        )
+    return failures

@@ -1,16 +1,17 @@
-"""Simulated network plane measurement: equivalence and convergence.
+"""Net suite: the simulated network plane's equivalence and convergence.
 
-Two measurements back the two gates of ``run_net_bench.py --check``:
+Two measurements back the two ``--check`` gates:
 
-* **Lossless equivalence** — for each topology (single backend and
+* **(a) lossless equivalence** — for each topology (single backend and
   shard counts 1/2/4), the identical stream is driven over the
   in-process ``LocalTransport`` and over the default (instantaneous,
   lossless) ``NetTransport``.  The two runs must be *bit-identical*:
   byte tables, per-minute network/storage meter series, per-shard
   ledger totals, and full query signatures.  Wall-clock ratios are
-  recorded so the event-driven plane's overhead stays visible.
+  recorded so the event-driven plane's overhead stays visible, and
+  gated by ``--max-overhead`` (the event scheduler must stay cheap).
 
-* **Chaos convergence** — for each seeded chaos profile
+* **(b) chaos convergence** — for each seeded chaos profile
   (drop/duplicate/delay/partition), the stream is driven over a
   batching wire with the profile injected and retries enabled.  The
   run must converge to the lossless reference (same query signature,
@@ -22,163 +23,83 @@ Two measurements back the two gates of ``run_net_bench.py --check``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from common import best_of, build_stream, per_second, span_count
 
-from sharded_bench import (
-    DEFAULT_TRACES,
-    DEFAULT_WARMUP_TRACES,
-    REPEATS,
-    WORKLOAD_BUILDERS,
-    best_of,
-    build_stream,
-    byte_tables,
-    query_signature,
-)
-
+from repro.concurrent.verify import compare_fingerprints, fingerprint
 from repro.framework import MintFramework
-from repro.model.trace import Trace
 from repro.net.chaos import CHAOS_PROFILES, ChaosProfile, fit_partitions
 from repro.net.transport import CHAOS_WIRE, NetworkDescriptor
 from repro.transport import Deployment
+from repro.workloads import WORKLOAD_BUILDERS
 
-# Topology 0 is the single backend; >= 1 are shard counts.
-DEFAULT_TOPOLOGIES = (0, 1, 2, 4)
-DEFAULT_PROFILES = tuple(sorted(CHAOS_PROFILES))
-
-
-def _deployment(topology: int, network: NetworkDescriptor | None) -> Deployment:
-    return Deployment(num_shards=topology, network=network)
-
-
-def _topology_label(topology: int) -> str:
-    return "single" if topology == 0 else f"x{topology}"
-
-
-def _meter_series(framework: MintFramework) -> dict[str, list[tuple[int, int]]]:
-    return {
-        "network": framework.ledger.network.per_minute_series(),
-        "storage": framework.ledger.storage.per_minute_series(),
-    }
-
-
-def _shard_ledger_totals(framework: MintFramework) -> list[tuple[int, int]]:
-    return [
-        (ledger.network.total_bytes, ledger.storage.total_bytes)
-        for ledger in framework.shard_ledgers
-    ]
-
-
-@dataclass
-class EquivalenceCell:
-    """Local-vs-net comparison for one (workload, topology)."""
-
-    workload: str
-    topology: str
-    identical: bool
-    violations: list[str] = field(default_factory=list)
-    local_spans_per_sec: float = 0.0
-    net_spans_per_sec: float = 0.0
-    net_overhead: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "topology": self.topology,
-            "identical": self.identical,
-            "violations": list(self.violations),
-            "local_spans_per_sec": round(self.local_spans_per_sec, 1),
-            "net_spans_per_sec": round(self.net_spans_per_sec, 1),
-            "net_overhead": round(self.net_overhead, 3),
-        }
+DEFAULTS = {
+    "traces": 400,
+    "warmup_traces": 100,
+    "workloads": list(WORKLOAD_BUILDERS),
+    "repeats": 2,
+    "seed": 7,
+}
+FLAGS = {
+    "--topologies": dict(
+        type=int, nargs="+", default=[0, 1, 2, 4], help="0 = single backend, N >= 1 = shard count"
+    ),
+    "--profiles": dict(
+        nargs="+", default=sorted(CHAOS_PROFILES), choices=sorted(CHAOS_PROFILES)
+    ),
+    "--max-overhead": dict(
+        type=float, default=1.75, help="gate: lossless NetTransport / LocalTransport wall clock"
+    ),
+}
+# Same topology on both sides, so attribution is promised too.
+EQUIVALENCE_KEYS = ("byte_tables", "meter_series", "shard_ledgers", "query_signature")
+# A chaotic wire commits late: minute buckets may shift, figures may not.
+CONVERGENCE_KEYS = ("byte_tables", "query_signature")
 
 
 def measure_equivalence(
-    workload_name: str,
-    stream: list[tuple[float, Trace]],
-    topologies: tuple[int, ...] = DEFAULT_TOPOLOGIES,
-    warmup_traces: int = DEFAULT_WARMUP_TRACES,
-    repeats: int = REPEATS,
-) -> tuple[list[EquivalenceCell], MintFramework | None]:
+    workload: str, stream, topologies, warmup_traces: int, repeats: int
+) -> tuple[dict[str, dict], dict | None]:
     """Gate (a): default NetTransport == LocalTransport, bit for bit.
 
-    Also returns the single-backend LocalTransport framework (when
+    Also returns the single-backend LocalTransport fingerprint (when
     topology 0 was measured) so the convergence gate can reuse it as
     its lossless reference instead of re-ingesting the stream.
     """
-    span_count = sum(len(trace.spans) for _, trace in stream)
-    cells: list[EquivalenceCell] = []
-    single_local: MintFramework | None = None
+    spans = span_count(stream)
+    cells: dict[str, dict] = {}
+    single_local_print = None
     for topology in topologies:
-        def local_factory(topology=topology):
+        def factory(network, topology=topology):
             return MintFramework(
-                deployment=_deployment(topology, None),
+                deployment=Deployment(num_shards=topology, network=network),
                 auto_warmup_traces=warmup_traces,
             )
 
-        def net_factory(topology=topology):
-            return MintFramework(
-                deployment=_deployment(topology, NetworkDescriptor.lossless()),
-                auto_warmup_traces=warmup_traces,
-            )
-
-        local_elapsed, local = best_of(local_factory, stream, repeats)
-        net_elapsed, net = best_of(net_factory, stream, repeats)
+        local_elapsed, local = best_of(lambda: factory(None), stream, repeats)
+        net_elapsed, net = best_of(
+            lambda: factory(NetworkDescriptor.lossless()), stream, repeats
+        )
+        local_print = fingerprint(local, stream)
         if topology == 0:
-            single_local = local
-        violations: list[str] = []
-        local_tables = byte_tables(local)
-        net_tables = byte_tables(net)
-        for key, want in local_tables.items():
-            if net_tables[key] != want:
-                violations.append(f"{key}: net {net_tables[key]} != local {want}")
-        local_series = _meter_series(local)
-        for meter, want in _meter_series(net).items():
-            if want != local_series[meter]:
-                violations.append(f"{meter} per-minute series diverges")
-        if _shard_ledger_totals(net) != _shard_ledger_totals(local):
-            violations.append("per-shard ledger totals diverge")
-        if query_signature(net, stream) != query_signature(local, stream):
-            violations.append("query signatures diverge")
+            single_local_print = local_print
+        violations = compare_fingerprints(
+            local_print, fingerprint(net, stream), label="net", keys=EQUIVALENCE_KEYS
+        )
         if net.retransmit_bytes != 0:
             violations.append(
                 f"lossless wire charged retransmit bytes: {net.retransmit_bytes}"
             )
-        cells.append(
-            EquivalenceCell(
-                workload=workload_name,
-                topology=_topology_label(topology),
-                identical=not violations,
-                violations=violations,
-                local_spans_per_sec=span_count / local_elapsed if local_elapsed else 0.0,
-                net_spans_per_sec=span_count / net_elapsed if net_elapsed else 0.0,
-                net_overhead=net_elapsed / local_elapsed if local_elapsed else 0.0,
-            )
-        )
-    return cells, single_local
-
-
-@dataclass
-class ConvergenceCell:
-    """Chaos-vs-lossless comparison for one (workload, profile)."""
-
-    workload: str
-    profile: str
-    converged: bool
-    chaos_fired: bool
-    violations: list[str] = field(default_factory=list)
-    retransmit_bytes: int = 0
-    delivery: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "profile": self.profile,
-            "converged": self.converged,
-            "chaos_fired": self.chaos_fired,
-            "violations": list(self.violations),
-            "retransmit_bytes": self.retransmit_bytes,
-            "delivery": dict(self.delivery),
+        label = "single" if topology == 0 else f"x{topology}"
+        cells[label] = {
+            "workload": workload,
+            "topology": label,
+            "identical": not violations,
+            "violations": violations,
+            "local_spans_per_sec": round(per_second(spans, local_elapsed), 1),
+            "net_spans_per_sec": round(per_second(spans, net_elapsed), 1),
+            "net_overhead": round(net_elapsed / local_elapsed, 3) if local_elapsed else 0.0,
         }
+    return cells, single_local_print
 
 
 def _chaos_evidence(profile: ChaosProfile, totals: dict) -> list[str]:
@@ -199,74 +120,106 @@ def _chaos_evidence(profile: ChaosProfile, totals: dict) -> list[str]:
 
 
 def measure_convergence(
-    workload_name: str,
-    stream: list[tuple[float, Trace]],
-    profiles: tuple[str, ...] = DEFAULT_PROFILES,
-    warmup_traces: int = DEFAULT_WARMUP_TRACES,
-    seed: int = 7,
-    reference: MintFramework | None = None,
-) -> list[ConvergenceCell]:
-    """Gate (b): every chaos profile converges to the lossless answer.
-
-    ``reference`` reuses an already-driven single-backend LocalTransport
-    framework (from :func:`measure_equivalence`) instead of paying one
-    more full ingest of the stream.
-    """
-    if reference is None:
-        def reference_factory():
-            return MintFramework(auto_warmup_traces=warmup_traces)
-
-        _, reference = best_of(reference_factory, stream, 1)
-    ref_tables = byte_tables(reference)
-    ref_signature = query_signature(reference, stream)
+    workload: str, stream, profiles, warmup_traces: int, seed: int, reference_print: dict | None
+) -> dict[str, dict]:
+    """Gate (b): every chaos profile converges to the lossless answer."""
+    if reference_print is None:
+        _, reference = best_of(
+            lambda: MintFramework(auto_warmup_traces=warmup_traces), stream, 1
+        )
+        reference_print = fingerprint(reference, stream)
     duration_s = stream[-1][0] if stream else 0.0
 
-    cells: list[ConvergenceCell] = []
+    cells: dict[str, dict] = {}
     for name in profiles:
         profile = fit_partitions(CHAOS_PROFILES[name], duration_s)
         wire = CHAOS_WIRE.with_chaos(profile, seed=seed)
-
-        def chaos_factory(wire=wire):
-            return MintFramework(
+        _, framework = best_of(
+            lambda wire=wire: MintFramework(
                 deployment=Deployment.single(network=wire),
                 auto_warmup_traces=warmup_traces,
-            )
-
-        _, framework = best_of(chaos_factory, stream, 1)
-        violations: list[str] = []
-        tables = byte_tables(framework)
-        for key, want in ref_tables.items():
-            if tables[key] != want:
-                violations.append(f"{key}: chaos {tables[key]} != lossless {want}")
-        if query_signature(framework, stream) != ref_signature:
-            violations.append("query signature diverges from lossless run")
-        stats = framework.net_stats() or {}
-        totals = stats.get("totals", {})
-        evidence_gaps = _chaos_evidence(profile, totals)
-        cells.append(
-            ConvergenceCell(
-                workload=workload_name,
-                profile=name,
-                converged=not violations,
-                chaos_fired=not evidence_gaps,
-                violations=violations + evidence_gaps,
-                retransmit_bytes=framework.retransmit_bytes,
-                delivery=totals,
-            )
+            ),
+            stream,
+            1,
         )
+        violations = compare_fingerprints(
+            reference_print, fingerprint(framework, stream), label="chaos", keys=CONVERGENCE_KEYS
+        )
+        totals = (framework.net_stats() or {}).get("totals", {})
+        evidence_gaps = _chaos_evidence(profile, totals)
+        cells[name] = {
+            "workload": workload,
+            "profile": name,
+            "converged": not violations,
+            "chaos_fired": not evidence_gaps,
+            "violations": violations + evidence_gaps,
+            "retransmit_bytes": framework.retransmit_bytes,
+            "delivery": totals,
+        }
     return cells
 
 
-__all__ = [
-    "CHAOS_WIRE",
-    "DEFAULT_PROFILES",
-    "DEFAULT_TOPOLOGIES",
-    "DEFAULT_TRACES",
-    "DEFAULT_WARMUP_TRACES",
-    "WORKLOAD_BUILDERS",
-    "ConvergenceCell",
-    "EquivalenceCell",
-    "build_stream",
-    "measure_convergence",
-    "measure_equivalence",
-]
+def measure(args) -> dict:
+    """Every equivalence and convergence cell."""
+    report: dict = {
+        "units": {
+            "net_overhead": "lossless NetTransport elapsed / LocalTransport "
+            "elapsed over the identical stream (1.0 = free plane)",
+            "retransmit_bytes": "redundant wire bytes (retransmissions + chaos "
+            "duplicates), charged on the separate retransmit meter only",
+        },
+        "equivalence": {},
+        "convergence": {},
+        "gates": {},
+    }
+    for name in args.workloads:
+        stream = build_stream(name, args.traces)
+        equivalence, local_print = measure_equivalence(
+            name, stream, args.topologies, args.warmup_traces, args.repeats
+        )
+        report["equivalence"][name] = equivalence
+        line = f"{name:16s} equivalence:"
+        for cell in equivalence.values():
+            verdict = "ok" if cell["identical"] else "FAIL"
+            line += f"  {cell['topology']}={verdict} ({cell['net_overhead']:.2f}x)"
+        print(line)
+
+        convergence = measure_convergence(
+            name, stream, args.profiles, args.warmup_traces, args.seed, local_print
+        )
+        report["convergence"][name] = convergence
+        line = f"{name:16s} convergence:"
+        for cell in convergence.values():
+            verdict = "ok" if cell["converged"] and cell["chaos_fired"] else "FAIL"
+            line += f"  {cell['profile']}={verdict} (retx {cell['retransmit_bytes']}B)"
+        print(line)
+
+    report["gates"]["lossless_equivalence"] = all(
+        cell["identical"]
+        for by_topology in report["equivalence"].values()
+        for cell in by_topology.values()
+    )
+    report["gates"]["chaos_convergence"] = all(
+        cell["converged"] and cell["chaos_fired"]
+        for by_profile in report["convergence"].values()
+        for cell in by_profile.values()
+    )
+    return report
+
+
+def check(report: dict, args) -> list[str]:
+    failures: list[str] = []
+    for name, by_topology in report["equivalence"].items():
+        for topology, cell in by_topology.items():
+            if not cell["identical"]:
+                failures.append(f"{name} {topology}: {'; '.join(cell['violations'])}")
+            elif cell["net_overhead"] > args.max_overhead:
+                failures.append(
+                    f"{name} {topology}: net overhead {cell['net_overhead']:.2f}x > "
+                    f"allowed {args.max_overhead:.2f}x"
+                )
+    for name, by_profile in report["convergence"].items():
+        for profile, cell in by_profile.items():
+            if not (cell["converged"] and cell["chaos_fired"]):
+                failures.append(f"{name} chaos-{profile}: {'; '.join(cell['violations'])}")
+    return failures

@@ -1,4 +1,4 @@
-"""Observability-plane measurement: identity, overhead, detection panel.
+"""Obs suite: observation identity, registry overhead, detection panel.
 
 Three claims the obs PR makes, each measured end to end:
 
@@ -21,24 +21,33 @@ Two obs-on runs of the same seeded stream must also produce identical
 *deterministic* reports (wall durations stripped, counts kept) — the
 replayability contract the test suite pins per component and this
 bench pins end to end.
+
+``--check`` gates:
+
+* **identity** — any logical byte table, per-minute meter series or
+  query signature differs between the obs-on and obs-off run of any
+  topology (single, sharded, behind a lossless wire), or two identical
+  obs-on runs disagree on the deterministic report;
+* **overhead** — the full registry costs more than ``--max-overhead``
+  over the obs-off build, best-of-``--repeats``;
+* **panel** — the detection-latency panel covers fewer than two
+  topologies or two chaos profiles, or any cell fails to detect the
+  injected fault.  The panel runs twice — ``panel`` is the polling
+  probe loop, ``panel_push`` the live plane's standing-subscription
+  pager — and both flavours must detect in every cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
-from sharded_bench import (
-    WORKLOAD_BUILDERS,
-    best_of,
-    build_stream,
-    byte_tables,
-    query_signature,
-)
+from common import best_of, build_stream, only_workload, span_count
 
+from repro.concurrent.verify import compare_fingerprints, fingerprint
 from repro.framework import MintFramework
 from repro.net.transport import CHAOS_WIRE
 from repro.obs import deterministic_report
+from repro.sim.experiment import drive
 from repro.sim.incident import (
     DEFAULT_PROFILES,
     DEFAULT_TOPOLOGIES,
@@ -46,142 +55,77 @@ from repro.sim.incident import (
 )
 from repro.transport import Deployment
 
-__all__ = [
-    "DEFAULT_PANEL_PROFILES",
-    "DEFAULT_PANEL_TOPOLOGIES",
-    "DEFAULT_REPEATS",
-    "DEFAULT_TOPOLOGY_NAMES",
-    "DEFAULT_TRACES",
-    "IdentityCell",
-    "WORKLOAD_BUILDERS",
-    "identity_sweep",
-    "measure_overhead",
-    "obs_topologies",
-    "run_panel",
-]
-
-DEFAULT_TRACES = 400
-DEFAULT_REPEATS = 3
-#: The identity sweep's topologies: plain single, sharded, and single
-#: behind a batching wire (lossless — the wire whose obs-on/off
-#: equivalence must be exact; lossy wires are covered by the panel).
-DEFAULT_TOPOLOGY_NAMES = ("single", "sharded-2", "net-lossless")
-DEFAULT_PANEL_TOPOLOGIES = DEFAULT_TOPOLOGIES
-DEFAULT_PANEL_PROFILES = DEFAULT_PROFILES
-
-
-def obs_topologies() -> dict[str, Any]:
-    """Deployment factories for the identity sweep, parameterised on
-    the observability switch."""
-    return {
-        "single": lambda obs: Deployment.single(observability=obs),
-        "sharded-2": lambda obs: Deployment.sharded(2, observability=obs),
-        "net-lossless": lambda obs: Deployment.single(
-            network=CHAOS_WIRE, observability=obs
-        ),
-    }
+# Deployment factories for the identity sweep, parameterised on the
+# observability switch: plain single, sharded, and single behind a
+# batching wire (lossless — the wire whose obs-on/off equivalence must
+# be exact; lossy wires are covered by the panel).
+TOPOLOGIES = {
+    "single": lambda obs: Deployment.single(observability=obs),
+    "sharded-2": lambda obs: Deployment.sharded(2, observability=obs),
+    "net-lossless": lambda obs: Deployment.single(network=CHAOS_WIRE, observability=obs),
+}
+DEFAULTS = {"traces": 400, "workloads": ["onlineboutique"], "repeats": 3, "seed": 11}
+FLAGS = {
+    "--topologies": dict(
+        nargs="+", default=list(TOPOLOGIES), choices=list(TOPOLOGIES),
+        help="identity-sweep topologies",
+    ),
+    "--panel-topologies": dict(
+        nargs="+", default=list(DEFAULT_TOPOLOGIES),
+        help="detection-panel topologies (single, sharded-N)",
+    ),
+    "--panel-profiles": dict(
+        nargs="+", default=list(DEFAULT_PROFILES), help="detection-panel chaos profiles"
+    ),
+    "--panel-traces": dict(type=int, default=240),
+    "--max-overhead": dict(
+        type=float, default=1.05, help="gate: maximum obs-on/obs-off wall-clock ratio"
+    ),
+}
+# What observation must not move: the figures, their series, the answers.
+IDENTITY_KEYS = ("byte_tables", "meter_series", "query_signature")
 
 
-@dataclass
-class IdentityCell:
-    """One topology's obs-on vs obs-off comparison."""
-
-    topology: str
-    identical: bool
-    deterministic_replay: bool
-    violations: list[str] = field(default_factory=list)
-    byte_tables: dict[str, int] = field(default_factory=dict)
-    counters: dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "topology": self.topology,
-            "identical": self.identical,
-            "deterministic_replay": self.deterministic_replay,
-            "violations": list(self.violations),
-            "byte_tables": dict(self.byte_tables),
-            "counters": dict(self.counters),
-        }
-
-
-def _meter_series(framework: MintFramework) -> dict[str, list[tuple[int, int]]]:
-    ledger = framework.ledger
-    return {
-        "network_per_minute": list(ledger.network.per_minute_series()),
-        "storage_per_minute": list(ledger.storage.per_minute_series()),
-    }
-
-
-def _counter_summary(framework: MintFramework) -> dict[str, int]:
-    """The obs-on run's counters, flattened for the report."""
-    snapshot = framework.observer.snapshot(deterministic=True)
-    return dict(snapshot["counters"])
-
-
-def _drive_fresh(deployment_factory, obs: bool, stream) -> MintFramework:
-    framework = MintFramework(deployment=deployment_factory(obs))
-    last_now = 0.0
-    for now, trace in stream:
-        framework.process_trace(trace, now)
-        last_now = now
-    framework.finalize(last_now)
-    return framework
-
-
-def identity_cell(name: str, deployment_factory, stream) -> IdentityCell:
+def identity_cell(name: str, stream) -> dict[str, Any]:
     """Drive obs-on, obs-off and an obs-on replay; compare everything.
 
     The obs-on/off comparison is the no-perturbation gate; the obs-on
     replay pins the deterministic report (two identical seeded runs,
     bit-identical sim-domain snapshots).
     """
-    on = _drive_fresh(deployment_factory, True, stream)
-    off = _drive_fresh(deployment_factory, False, stream)
-    replay = _drive_fresh(deployment_factory, True, stream)
-    # Snapshot the replay pair *before* the signature sweep below runs
+    on, off, replay = (
+        MintFramework(deployment=TOPOLOGIES[name](obs)) for obs in (True, False, True)
+    )
+    for framework in (on, off, replay):
+        drive(framework, stream)
+    # Snapshot the replay pair *before* the fingerprint sweep below runs
     # queries against ``on`` — queries are themselves observed (query
     # counters, plan totals), so a post-sweep snapshot of ``on`` would
     # compare a queried run against an unqueried one.
     deterministic_replay = deterministic_report(on) == deterministic_report(replay)
 
-    violations: list[str] = []
-    tables_on, tables_off = byte_tables(on), byte_tables(off)
-    for key, value in tables_on.items():
-        if value != tables_off[key]:
-            violations.append(f"{key}: obs-on {value} != obs-off {tables_off[key]}")
-    if _meter_series(on) != _meter_series(off):
-        violations.append("per-minute meter series diverge between obs-on and obs-off")
-    if query_signature(on, stream) != query_signature(off, stream):
-        violations.append("query signatures diverge between obs-on and obs-off")
+    on_print = fingerprint(on, stream)
+    violations = compare_fingerprints(
+        fingerprint(off, stream), on_print, label="obs-on", keys=IDENTITY_KEYS
+    )
     if not deterministic_replay:
         violations.append(
             "two identical obs-on runs produced different deterministic reports"
         )
-    cell = IdentityCell(
-        topology=name,
-        identical=not violations,
-        deterministic_replay=deterministic_replay,
-        violations=violations,
-        byte_tables=tables_on,
-        counters=_counter_summary(on),
-    )
-    on.close()
-    off.close()
-    replay.close()
+    cell = {
+        "topology": name,
+        "identical": not violations,
+        "deterministic_replay": deterministic_replay,
+        "violations": violations,
+        "byte_tables": on_print["byte_tables"],
+        "counters": dict(on.observer.snapshot(deterministic=True)["counters"]),
+    }
+    for framework in (on, off, replay):
+        framework.close()
     return cell
 
 
-def identity_sweep(
-    stream, topology_names=DEFAULT_TOPOLOGY_NAMES
-) -> list[IdentityCell]:
-    """The full obs-on == obs-off sweep over the identity topologies."""
-    factories = obs_topologies()
-    return [
-        identity_cell(name, factories[name], stream) for name in topology_names
-    ]
-
-
-def measure_overhead(stream, repeats: int = DEFAULT_REPEATS) -> dict[str, Any]:
+def measure_overhead(stream, repeats: int) -> dict[str, Any]:
     """Wall-clock cost of leaving the full registry on.
 
     Best-of-``repeats`` with a fresh framework per repeat, obs-off
@@ -189,7 +133,7 @@ def measure_overhead(stream, repeats: int = DEFAULT_REPEATS) -> dict[str, Any]:
     shards — the configuration where instrumentation is the largest
     fraction of the work, so the ratio is the conservative one.
     """
-    span_count = sum(len(trace.spans) for _, trace in stream)
+    spans = span_count(stream)
     off_elapsed, _ = best_of(
         lambda: MintFramework(deployment=Deployment.single(observability=False)),
         stream,
@@ -207,45 +151,104 @@ def measure_overhead(stream, repeats: int = DEFAULT_REPEATS) -> dict[str, Any]:
     )
     return {
         "traces": len(stream),
-        "spans": span_count,
+        "spans": spans,
         "repeats": repeats,
         "obs_off_seconds": round(off_elapsed, 6),
         "obs_on_seconds": round(on_elapsed, 6),
         "overhead_ratio": round(on_elapsed / off_elapsed, 4) if off_elapsed else 0.0,
-        "obs_on_spans_per_sec": round(span_count / on_elapsed, 1) if on_elapsed else 0.0,
+        "obs_on_spans_per_sec": round(spans / on_elapsed, 1) if on_elapsed else 0.0,
         "live_instruments": instruments,
     }
 
 
-def run_panel(
-    workload_name: str,
-    topologies=DEFAULT_PANEL_TOPOLOGIES,
-    profiles=DEFAULT_PANEL_PROFILES,
-    num_traces: int = 240,
-    seed: int = 11,
-    probe_mode: str = "poll",
-) -> list[dict[str, Any]]:
-    """The detection-latency panel, as report-ready dicts.
-
-    ``probe_mode`` selects the analyst's pager: ``poll`` is the
-    original fixed-cadence probe loop, ``push`` rides the live plane's
-    standing error subscription — the bench runs both side by side so
-    the report shows what push delivery buys per cell.
-    """
-    return [
-        cell.as_dict()
-        for cell in detection_latency_panel(
-            workload_name=workload_name,
-            topologies=tuple(topologies),
-            profiles=tuple(profiles),
-            num_traces=num_traces,
-            seed=seed,
-            probe_mode=probe_mode,
+def measure(args) -> dict:
+    """Identity sweep, overhead, and both detection-panel flavours."""
+    workload = only_workload(args)
+    report: dict = {
+        "units": {
+            "overhead_ratio": "obs-on wall seconds / obs-off wall seconds "
+            "over the identical stream (best-of-repeats, fresh framework "
+            "per repeat); 1.0 means observation is free",
+            "detection_latency_s": "simulated seconds from the first "
+            "faulty trace entering the system to the first probe whose "
+            "RCA top-1 names the target service",
+        },
+        "identity": {},
+    }
+    # The same generator as the sharded suite, so obs numbers are
+    # comparable to that suite's.
+    stream = build_stream(workload, args.traces)
+    for name in args.topologies:
+        cell = report["identity"][name] = identity_cell(name, stream)
+        print(
+            f"identity {name:12s} "
+            + ("bit-identical" if cell["identical"] else "VIOLATION: "
+               + "; ".join(cell["violations"]))
         )
-    ]
+
+    overhead = report["overhead"] = measure_overhead(stream, args.repeats)
+    print(
+        f"overhead {overhead['overhead_ratio']:.4f}x "
+        f"({overhead['obs_on_seconds']:.3f}s on / "
+        f"{overhead['obs_off_seconds']:.3f}s off, "
+        f"{overhead['live_instruments']} live instruments)"
+    )
+
+    # Both pager flavours over the identical grid: the polling loop and
+    # the live plane's push subscription, so BENCH_obs records
+    # detection latency side by side per cell.
+    for key, probe_mode in (("panel", "poll"), ("panel_push", "push")):
+        report[key] = [
+            cell.as_dict()
+            for cell in detection_latency_panel(
+                workload_name=workload,
+                topologies=tuple(args.panel_topologies),
+                profiles=tuple(args.panel_profiles),
+                num_traces=args.panel_traces,
+                seed=args.seed,
+                probe_mode=probe_mode,
+            )
+        ]
+        for cell in report[key]:
+            latency = cell["detection_latency_s"]
+            print(
+                f"panel[{probe_mode}] {cell['topology']:>10s} {cell['profile']:>9s} "
+                f"target={cell['target_service']:<24s} "
+                + (f"detected in {latency:.3f}s" if cell["detected"]
+                   else "NOT DETECTED")
+            )
+    return report
 
 
-def build_obs_stream(workload_name: str, num_traces: int, seed: int = 17):
-    """The identity/overhead stream (same generator as the sharded
-    bench, so obs numbers are comparable to that suite's)."""
-    return build_stream(workload_name, num_traces, seed=seed)
+def check(report: dict, args) -> list[str]:
+    failures: list[str] = []
+    for name, cell in report["identity"].items():
+        if not cell["identical"]:
+            failures.append(f"identity {name}: {'; '.join(cell['violations'])}")
+    if len(report["identity"]) < 3:
+        failures.append(
+            f"identity sweep covers {len(report['identity'])} topologies, "
+            "expected single + sharded + lossless-net"
+        )
+    ratio = report["overhead"].get("overhead_ratio", float("inf"))
+    if ratio > args.max_overhead:
+        failures.append(
+            f"overhead: obs-on costs {ratio:.4f}x obs-off "
+            f"(bound {args.max_overhead:.2f}x)"
+        )
+    for key in ("panel", "panel_push"):
+        panel = report.get(key, [])
+        topologies = {cell["topology"] for cell in panel}
+        profiles = {cell["profile"] for cell in panel}
+        if len(topologies) < 2 or len(profiles) < 2:
+            failures.append(
+                f"{key} covers {len(topologies)} topologies x {len(profiles)} "
+                "profiles, expected at least 2 x 2"
+            )
+        for cell in panel:
+            if not cell["detected"]:
+                failures.append(
+                    f"{key} {cell['topology']}/{cell['profile']}: fault on "
+                    f"{cell['target_service']} never detected"
+                )
+    return failures

@@ -1,4 +1,4 @@
-"""Query-plane measurement: bit-identity and batch amortisation.
+"""Query suite: the query plane's bit-identity and batch amortisation.
 
 One cell = one (workload, deployment) pair: the deterministic stream is
 ingested once, then a Fig. 12-style query stream (biased-but-
@@ -20,44 +20,64 @@ and cross-checked:
 
 Byte tables (fig02/fig11) are read after the query sweeps and checked
 identical across deployments — querying must never move a meter.
+
+``--check`` gates:
+
+* **bit-identity** — new-API point lookups differ from the reference
+  querier's answers (status, reconstructed spans, approximate
+  segments) on any deployment, or ``query_many`` differs from the
+  looped lookups, or the fig02/fig11 byte tables differ across
+  deployments;
+* **batch throughput** — ``query_many`` is slower than looped
+  point lookups (``--min-batch-speedup``);
+* **pre-screen pushdown** — a sharded run's batch plan pruned zero
+  stored-filter probes (the OR'd Bloom pre-screen must demonstrably
+  fire);
+* **predicate contract** — the declarative incident query yields a
+  non-hit or an out-of-window candidate.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from sharded_bench import WORKLOAD_BUILDERS
+from common import per_second
 
 from repro.analysis.metrics import hit_breakdown
+from repro.concurrent.verify import byte_tables
 from repro.framework import MintFramework
 from repro.model.trace import Trace
+from repro.net.transport import NetworkDescriptor
 from repro.query.result import QueryResult
-from repro.sim.experiment import generate_stream
+from repro.sim.experiment import drive, generate_stream
 from repro.transport import Deployment
+from repro.workloads import WORKLOAD_BUILDERS
 from repro.workloads.queries import QueryWorkload, TraceRecord, incident_window_spec
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.query.planner import PlanStats
-
-DEFAULT_TRACES = 400
-DEFAULT_WARMUP_TRACES = 100
-DEFAULT_WORKLOADS = ("onlineboutique", "trainticket")
-REPEATS = 3
-
-
-def default_deployments() -> dict[str, Deployment]:
-    """The gate's topology sweep: single, sharded 1/2/4, lossless net."""
-    from repro.net.transport import NetworkDescriptor
-
-    return {
-        "single": Deployment.single(),
-        "sharded-1": Deployment.sharded(1),
-        "sharded-2": Deployment.sharded(2),
-        "sharded-4": Deployment.sharded(4),
-        "net-lossless": Deployment.single(network=NetworkDescriptor.lossless()),
-    }
+# The gate's topology sweep: single, sharded 1/2/4, lossless net.
+DEPLOYMENTS: dict[str, Deployment] = {
+    "single": Deployment.single(),
+    "sharded-1": Deployment.sharded(1),
+    "sharded-2": Deployment.sharded(2),
+    "sharded-4": Deployment.sharded(4),
+    "net-lossless": Deployment.single(network=NetworkDescriptor.lossless()),
+}
+DEFAULTS = {
+    "traces": 400,
+    "warmup_traces": 100,
+    "workloads": ["onlineboutique", "trainticket"],
+    "repeats": 3,
+}
+FLAGS = {
+    "--deployments": dict(
+        nargs="+", default=list(DEPLOYMENTS), choices=list(DEPLOYMENTS),
+        help="deployment topologies to sweep",
+    ),
+    "--min-batch-speedup": dict(
+        type=float, default=1.0, help="gate: query_many speedup over looped point lookups"
+    ),
+}
 
 
 def build_query_stream(
@@ -92,79 +112,23 @@ def result_signature(result: QueryResult) -> tuple:
     return (result.trace_id, result.status, result.trace, result.approximate)
 
 
-def byte_tables(framework: MintFramework) -> dict[str, int]:
-    """The fig02/fig11 tables the query plane must never move."""
-    storage = framework.backend.storage
-    return {
-        "network_bytes": framework.network_bytes,
-        "storage_bytes": framework.storage_bytes,
-        "pattern_bytes": storage.pattern_bytes,
-        "bloom_bytes": storage.bloom_bytes,
-        "params_bytes": storage.params_bytes,
-    }
-
-
-@dataclass
-class QueryMeasurement:
-    """One (workload, deployment) cell of BENCH_query.json."""
-
-    workload: str
-    deployment: str
-    queries: int
-    point_elapsed_seconds: float
-    batch_elapsed_seconds: float
-    point_qps: float
-    batch_qps: float
-    batch_speedup: float
-    hits: dict[str, int]
-    plan: dict[str, int]
-    identical: bool
-    violations: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "deployment": self.deployment,
-            "queries": self.queries,
-            "point_elapsed_seconds": round(self.point_elapsed_seconds, 6),
-            "batch_elapsed_seconds": round(self.batch_elapsed_seconds, 6),
-            "point_qps": round(self.point_qps, 1),
-            "batch_qps": round(self.batch_qps, 1),
-            "batch_speedup": round(self.batch_speedup, 3),
-            "hits": dict(self.hits),
-            "plan": dict(self.plan),
-            "identical": self.identical,
-            "violations": list(self.violations),
-        }
-
-
-def _drive(deployment: Deployment, stream, warmup_traces: int) -> MintFramework:
-    framework = MintFramework(
-        deployment=deployment, auto_warmup_traces=warmup_traces
-    )
-    last_now = 0.0
-    for now, trace in stream:
-        framework.process_trace(trace, now)
-        last_now = now
-    framework.finalize(last_now)
-    return framework
-
-
 def measure_deployment(
     workload_name: str,
     deployment_name: str,
-    deployment: Deployment,
     stream: list[tuple[float, Trace]],
     queries: list[str],
-    warmup_traces: int = DEFAULT_WARMUP_TRACES,
-    repeats: int = REPEATS,
-) -> tuple[QueryMeasurement, MintFramework, "PlanStats"]:
+    warmup_traces: int,
+    repeats: int,
+) -> tuple[dict[str, Any], MintFramework]:
     """Ingest once, then run the three-way query sweep and the timing.
 
-    Returns the cell, the driven framework (for byte tables) and the
-    batch plan's statistics (for the pre-screen pruning gate).
+    Returns one (workload, deployment) cell of BENCH_query.json and the
+    driven framework (for byte tables and the predicate smoke).
     """
-    framework = _drive(deployment, stream, warmup_traces)
+    framework = MintFramework(
+        deployment=DEPLOYMENTS[deployment_name], auto_warmup_traces=warmup_traces
+    )
+    drive(framework, stream)
     violations: list[str] = []
 
     # --- bit-identity: new point lookups vs the reference querier ---
@@ -181,7 +145,6 @@ def measure_deployment(
     # --- bit-identity: one batch cursor vs the looped lookups ---
     cursor = framework.query_many(queries)
     batch = cursor.all()
-    stats = cursor.stats
     if len(batch) != len(point):
         violations.append(
             f"query_many yielded {len(batch)} results for {len(point)} ids"
@@ -205,24 +168,23 @@ def measure_deployment(
         for _ in range(repeats)
     )
 
-    hits = hit_breakdown(result.status for result in batch)
-
     count = len(queries)
-    measurement = QueryMeasurement(
-        workload=workload_name,
-        deployment=deployment_name,
-        queries=count,
-        point_elapsed_seconds=point_elapsed,
-        batch_elapsed_seconds=batch_elapsed,
-        point_qps=count / point_elapsed if point_elapsed > 0 else 0.0,
-        batch_qps=count / batch_elapsed if batch_elapsed > 0 else 0.0,
-        batch_speedup=point_elapsed / batch_elapsed if batch_elapsed > 0 else 0.0,
-        hits=hits,
-        plan=stats.as_dict(),
-        identical=not violations,
-        violations=violations,
-    )
-    return measurement, framework, stats
+    cell = {
+        "workload": workload_name,
+        "deployment": deployment_name,
+        "queries": count,
+        "point_elapsed_seconds": round(point_elapsed, 6),
+        "batch_elapsed_seconds": round(batch_elapsed, 6),
+        "point_qps": round(per_second(count, point_elapsed), 1),
+        "batch_qps": round(per_second(count, batch_elapsed), 1),
+        "batch_speedup": round(point_elapsed / batch_elapsed if batch_elapsed > 0 else 0.0, 3),
+        "hits": hit_breakdown(result.status for result in batch),
+        # Batch plan counters: the pre-screen pruning gate reads these.
+        "plan": cursor.stats.as_dict(),
+        "identical": not violations,
+        "violations": violations,
+    }
+    return cell, framework
 
 
 def _timed(thunk) -> float:
@@ -278,3 +240,73 @@ def predicate_smoke(
         "error_matched": len(error_hits),
         "contract_ok": service_ok and error_ok,
     }
+
+
+def measure(args) -> dict:
+    """Every (workload, deployment) cell."""
+    report: dict = {
+        "units": {
+            "point_qps": "new-API point lookups per second (looped)",
+            "batch_qps": "queries per second through one query_many cursor",
+            "batch_speedup": "point elapsed / batch elapsed over the same "
+            "ids (>= 1.0 means batching amortises)",
+            "plan": "batch plan counters: stored-filter probes made vs "
+            "pruned by the Bloom pre-screen pushdown",
+        },
+        "workloads": {},
+        "byte_tables": {},
+        "predicate": {},
+    }
+    for name in args.workloads:
+        stream, queries = build_query_stream(name, args.traces)
+        cells = report["workloads"][name] = {}
+        tables = report["byte_tables"][name] = {}
+        for depl_name in args.deployments:
+            cell, framework = measure_deployment(
+                name, depl_name, stream, queries, args.warmup_traces, args.repeats
+            )
+            cells[depl_name] = cell
+            tables[depl_name] = byte_tables(framework)
+            if depl_name == args.deployments[0]:
+                report["predicate"][name] = predicate_smoke(framework, stream)
+            print(
+                f"{name:16s} {depl_name:12s} "
+                f"point: {cell['point_qps']:>8.0f} q/s  "
+                f"batch: {cell['batch_qps']:>8.0f} q/s "
+                f"({cell['batch_speedup']:.2f}x)  "
+                f"pruned: {cell['plan']['filters_pruned']}"
+                + ("" if cell["identical"] else "  IDENTITY-VIOLATION")
+            )
+    return report
+
+
+def check(report: dict, args) -> list[str]:
+    failures: list[str] = []
+    for workload, cells in report["workloads"].items():
+        reference_tables = None
+        for depl_name, cell in cells.items():
+            label = f"{workload} {depl_name}"
+            if not cell["identical"]:
+                failures.append(f"{label}: {'; '.join(cell['violations'])}")
+            if cell["batch_speedup"] < args.min_batch_speedup:
+                failures.append(
+                    f"{label}: batch speedup {cell['batch_speedup']:.2f}x < "
+                    f"required {args.min_batch_speedup:.2f}x"
+                )
+            if depl_name.startswith("sharded") and cell["plan"]["filters_pruned"] <= 0:
+                failures.append(
+                    f"{label}: Bloom pre-screen pruned no shard probes "
+                    "(pushdown did not fire)"
+                )
+            tables = report["byte_tables"][workload][depl_name]
+            if reference_tables is None:
+                reference_tables = tables
+            elif tables != reference_tables:
+                failures.append(
+                    f"{label}: byte tables diverge across deployments "
+                    f"({tables} != {reference_tables})"
+                )
+    for workload, smoke in report["predicate"].items():
+        if not smoke["contract_ok"]:
+            failures.append(f"{workload}: predicate query contract violated")
+    return failures

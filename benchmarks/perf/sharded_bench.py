@@ -1,232 +1,54 @@
-"""Sharded collection-plane scaling measurement.
+"""Sharded suite: collection-plane scaling and shard-count invariance.
 
 One measurement = one workload's deterministic stream pushed through
 the *full* Mint pipeline (agents, collectors, transports, backend) at a
 given shard count, wall-clocked end to end.  The single-backend
 :class:`~repro.framework.MintFramework` run over the
 same stream is the reference: spans/sec ratios give the merge layer's
-overhead (or benefit), and the reference's query outcomes + byte
-tables give the invariance oracle every sharded run is checked
-against.
+overhead (or benefit), and the reference's fingerprint
+(:mod:`repro.concurrent.verify`) is the invariance oracle every sharded
+run is checked against.
 
 Unlike ``ingest_bench`` (agent hot path only), this measures the
 collection plane the sharding PR actually changes: report routing,
 cross-shard pattern merge, the OR'd Bloom pre-screen and notification
 broadcast all sit on the measured path.
+
+``--check`` gates: no sharded run's query signature or byte tables
+diverge from the single backend's, and merge overhead (sharded over
+single-backend wall clock) stays within ``--max-overhead`` — the merge
+layer must stay cheap.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any
+from common import best_of, build_stream, per_second, span_count
 
 from repro.analysis.metrics import hit_breakdown
+from repro.concurrent.verify import compare_fingerprints, fingerprint
 from repro.framework import MintFramework
-from repro.model.trace import Trace
-from repro.query.result import QueryStatus
-from repro.sim.experiment import generate_stream
 from repro.transport import Deployment
-from repro.workloads import build_dataset, build_onlineboutique, build_trainticket
-from repro.workloads.specs import Workload
+from repro.workloads import WORKLOAD_BUILDERS
 
-WORKLOAD_BUILDERS: dict[str, Any] = {
-    "onlineboutique": build_onlineboutique,
-    "trainticket": build_trainticket,
-    "alibaba": lambda: build_dataset("A"),
+DEFAULTS = {
+    "traces": 400,
+    "warmup_traces": 100,
+    "workloads": list(WORKLOAD_BUILDERS),
+    "repeats": 3,
 }
+FLAGS = {
+    "--shards": dict(type=int, nargs="+", default=[1, 2, 4, 8], help="shard counts to sweep"),
+    "--max-overhead": dict(
+        type=float, default=1.35, help="gate: sharded / single-backend wall-clock bound"
+    ),
+}
+# A sharded run shares the single backend's figures and answers; its
+# ledgers are per shard by construction.
+INVARIANT_KEYS = ("byte_tables", "query_signature")
 
-DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
-DEFAULT_TRACES = 400
-DEFAULT_WARMUP_TRACES = 100
-# Best-of-N wall-clock repeats, for the same reason as ingest_bench:
-# one stream interval is small enough for scheduler noise to matter.
-REPEATS = 3
 
-
-@dataclass
-class ShardedMeasurement:
+def _cell(workload: str, num_shards: int, stream, elapsed: float, framework, run_print) -> dict:
     """One (workload, shard count) cell of BENCH_sharded.json."""
-
-    workload: str
-    num_shards: int
-    traces: int
-    spans: int
-    elapsed_seconds: float
-    spans_per_sec: float
-    network_bytes: int
-    storage_bytes: int
-    shard_storage_bytes: list[int]
-    shard_network_bytes: list[int]
-    replicated_pattern_bytes: int
-    hits: dict[str, int]
-
-    def as_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "num_shards": self.num_shards,
-            "traces": self.traces,
-            "spans": self.spans,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "spans_per_sec": round(self.spans_per_sec, 1),
-            "network_bytes": self.network_bytes,
-            "storage_bytes": self.storage_bytes,
-            "shard_storage_bytes": list(self.shard_storage_bytes),
-            "shard_network_bytes": list(self.shard_network_bytes),
-            "replicated_pattern_bytes": self.replicated_pattern_bytes,
-            "hits": dict(self.hits),
-        }
-
-
-@dataclass
-class InvarianceReport:
-    """Outcome of checking one sharded run against the reference."""
-
-    workload: str
-    num_shards: int
-    identical: bool
-    violations: list[str] = field(default_factory=list)
-
-
-def build_stream(
-    workload_name: str, num_traces: int, seed: int = 17
-) -> list[tuple[float, Trace]]:
-    """Deterministic (timestamp, trace) stream for one workload."""
-    workload: Workload = WORKLOAD_BUILDERS[workload_name]()
-    stream, _ = generate_stream(workload, num_traces, abnormal_rate=0.02, seed=seed)
-    return stream
-
-
-def _drive(framework, stream) -> float:
-    started = time.perf_counter()
-    last_now = 0.0
-    for now, trace in stream:
-        framework.process_trace(trace, now)
-        last_now = now
-    framework.finalize(last_now)
-    return time.perf_counter() - started
-
-
-def query_signature(framework, stream) -> list[tuple[str, str]]:
-    """(trace id, status detail) for every trace — the invariance
-    oracle, and the single query sweep the hit counts derive from.
-
-    Statuses alone understate equivalence, so exact hits also fold in
-    the reconstructed span count and partial hits the segment shape.
-    """
-    signature: list[tuple[str, str]] = []
-    for result in framework.query_many(trace.trace_id for _, trace in stream):
-        detail = str(result.status)
-        if result.status is QueryStatus.EXACT and result.trace is not None:
-            detail += f":{len(result.trace.spans)}"
-        elif result.status is QueryStatus.PARTIAL and result.approximate is not None:
-            detail += ":" + ",".join(
-                f"{seg.topo_pattern_id}/{seg.span_count}"
-                for seg in result.approximate.segments
-            )
-        signature.append((result.trace_id, detail))
-    return signature
-
-
-def _hits_from_signature(signature: list[tuple[str, str]]) -> dict[str, int]:
-    """Fold a query signature into Fig. 12-style hit counts."""
-    return hit_breakdown(detail.split(":", 1)[0] for _, detail in signature)
-
-
-def measure_sharded(
-    workload_name: str,
-    stream: list[tuple[float, Trace]],
-    shard_counts: tuple[int, ...] = DEFAULT_SHARD_COUNTS,
-    warmup_traces: int = DEFAULT_WARMUP_TRACES,
-    repeats: int = REPEATS,
-) -> tuple[dict[int, ShardedMeasurement], ShardedMeasurement, list[InvarianceReport]]:
-    """Measure every shard count plus the single-backend reference.
-
-    Returns (per-shard-count measurements, reference measurement,
-    invariance reports).  Every run sees the identical stream; elapsed
-    is best-of-``repeats`` with a fresh framework per repeat.
-    """
-    span_count = sum(len(trace.spans) for _, trace in stream)
-
-    def reference_factory():
-        return MintFramework(auto_warmup_traces=warmup_traces)
-
-    ref_elapsed, ref_framework = best_of(reference_factory, stream, repeats)
-    ref_signature = query_signature(ref_framework, stream)
-    reference = _measurement(
-        workload_name, 0, span_count, ref_elapsed, ref_framework,
-        _hits_from_signature(ref_signature), len(stream),
-    )
-    ref_tables = byte_tables(ref_framework)
-
-    measurements: dict[int, ShardedMeasurement] = {}
-    reports: list[InvarianceReport] = []
-    for count in shard_counts:
-        def factory(count=count):
-            return MintFramework(
-                deployment=Deployment.sharded(count),
-                auto_warmup_traces=warmup_traces,
-            )
-
-        elapsed, framework = best_of(factory, stream, repeats)
-        signature = query_signature(framework, stream)
-        measurements[count] = _measurement(
-            workload_name, count, span_count, elapsed, framework,
-            _hits_from_signature(signature), len(stream),
-        )
-        violations: list[str] = []
-        if signature != ref_signature:
-            violations.append("query results diverge from single backend")
-        tables = byte_tables(framework)
-        for key, value in tables.items():
-            if value != ref_tables[key]:
-                violations.append(
-                    f"{key}: sharded {value} != reference {ref_tables[key]}"
-                )
-        reports.append(
-            InvarianceReport(
-                workload=workload_name,
-                num_shards=count,
-                identical=not violations,
-                violations=violations,
-            )
-        )
-    return measurements, reference, reports
-
-
-def best_of(factory, stream, repeats: int):
-    """Fresh-framework repeats; keep the fastest run's framework."""
-    best_elapsed = float("inf")
-    best_framework = None
-    for _ in range(max(1, repeats)):
-        framework = factory()
-        elapsed = _drive(framework, stream)
-        if elapsed < best_elapsed:
-            best_elapsed = elapsed
-            best_framework = framework
-    return best_elapsed, best_framework
-
-
-def byte_tables(framework) -> dict[str, int]:
-    storage = framework.backend.storage
-    return {
-        "network_bytes": framework.network_bytes,
-        "storage_bytes": framework.storage_bytes,
-        "pattern_bytes": storage.pattern_bytes,
-        "bloom_bytes": storage.bloom_bytes,
-        "params_bytes": storage.params_bytes,
-    }
-
-
-def _measurement(
-    workload_name: str,
-    num_shards: int,
-    span_count: int,
-    elapsed: float,
-    framework,
-    hits: dict[str, int],
-    trace_count: int,
-) -> ShardedMeasurement:
     if framework.deployment.is_sharded:
         rows = framework.shard_meter_rows()
         shard_storage = [row.storage_bytes for row in rows]
@@ -236,17 +58,93 @@ def _measurement(
         shard_storage = [framework.storage_bytes]
         shard_network = [framework.network_bytes]
         replicated = 0
-    return ShardedMeasurement(
-        workload=workload_name,
-        num_shards=num_shards,
-        traces=trace_count,
-        spans=span_count,
-        elapsed_seconds=elapsed,
-        spans_per_sec=span_count / elapsed if elapsed > 0 else 0.0,
-        network_bytes=framework.network_bytes,
-        storage_bytes=framework.storage_bytes,
-        shard_storage_bytes=shard_storage,
-        shard_network_bytes=shard_network,
-        replicated_pattern_bytes=replicated,
-        hits=hits,
-    )
+    spans = span_count(stream)
+    return {
+        "workload": workload,
+        "num_shards": num_shards,
+        "traces": len(stream),
+        "spans": spans,
+        "elapsed_seconds": round(elapsed, 6),
+        "spans_per_sec": round(per_second(spans, elapsed), 1),
+        "network_bytes": framework.network_bytes,
+        "storage_bytes": framework.storage_bytes,
+        "shard_storage_bytes": shard_storage,
+        "shard_network_bytes": shard_network,
+        "replicated_pattern_bytes": replicated,
+        # Fig. 12-style hit counts, folded from the signature's sweep.
+        "hits": hit_breakdown(
+            detail.split(":", 1)[0] for _, detail in run_print["query_signature"]
+        ),
+    }
+
+
+def measure(args) -> dict:
+    """Every (workload, shard count) cell plus the single-backend
+    reference; every run sees the identical stream."""
+    report: dict = {
+        "units": {
+            "spans_per_sec": "spans through the full collection plane per "
+            "wall-clock second (agents + collectors + backend)",
+            "merge_overhead": "sharded elapsed / single-backend elapsed "
+            "over the identical stream (1.0 = free merge)",
+        },
+        "baseline_single": {},
+        "workloads": {},
+        "merge_overhead": {},
+        "invariance": {},
+    }
+    for name in args.workloads:
+        stream = build_stream(name, args.traces)
+        ref_elapsed, reference = best_of(
+            lambda: MintFramework(auto_warmup_traces=args.warmup_traces),
+            stream,
+            args.repeats,
+        )
+        ref_print = fingerprint(reference, stream)
+        report["baseline_single"][name] = _cell(
+            name, 0, stream, ref_elapsed, reference, ref_print
+        )
+        cells = report["workloads"][name] = {}
+        overheads = report["merge_overhead"][name] = {}
+        verdicts = report["invariance"][name] = {}
+        for count in args.shards:
+            elapsed, framework = best_of(
+                lambda count=count: MintFramework(
+                    deployment=Deployment.sharded(count),
+                    auto_warmup_traces=args.warmup_traces,
+                ),
+                stream,
+                args.repeats,
+            )
+            run_print = fingerprint(framework, stream)
+            cells[str(count)] = _cell(name, count, stream, elapsed, framework, run_print)
+            overheads[str(count)] = round(elapsed / ref_elapsed, 3) if ref_elapsed > 0 else 0.0
+            violations = compare_fingerprints(
+                ref_print, run_print, label="sharded", keys=INVARIANT_KEYS
+            )
+            verdicts[str(count)] = {"identical": not violations, "violations": violations}
+        single = report["baseline_single"][name]["spans_per_sec"]
+        line = f"{name:16s} single: {single:>9.0f} spans/s"
+        for count in args.shards:
+            line += (
+                f"  | x{count}: {cells[str(count)]['spans_per_sec']:>9.0f} "
+                f"({overheads[str(count)]:.2f}x)"
+            )
+        print(line)
+    return report
+
+
+def check(report: dict, args) -> list[str]:
+    failures: list[str] = []
+    for name, by_count in report["invariance"].items():
+        for count, verdict in by_count.items():
+            if not verdict["identical"]:
+                failures.append(f"{name} x{count}: {'; '.join(verdict['violations'])}")
+    for name, by_count in report["merge_overhead"].items():
+        for count, overhead in by_count.items():
+            if overhead > args.max_overhead:
+                failures.append(
+                    f"{name} x{count}: merge overhead {overhead:.2f}x > "
+                    f"allowed {args.max_overhead:.2f}x"
+                )
+    return failures

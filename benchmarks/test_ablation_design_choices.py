@@ -16,7 +16,7 @@ from conftest import emit, once
 
 from repro.agent.config import MintConfig
 from repro.analysis import render_table
-from repro.baselines import MintFramework
+from repro.framework import MintFramework
 from repro.parsing.numeric_buckets import NumericBucketer
 from repro.sim.experiment import generate_stream
 from repro.workloads import build_onlineboutique

@@ -16,7 +16,8 @@ from conftest import emit, once
 
 from repro.agent.samplers import TailSampler
 from repro.analysis import render_table
-from repro.baselines import Hindsight, MintFramework, OTFull, OTHead, OTTail, Sieve
+from repro.baselines import Hindsight, OTFull, OTHead, OTTail, Sieve
+from repro.framework import MintFramework
 from repro.sim.experiment import run_experiment
 from repro.workloads import build_onlineboutique, build_trainticket
 

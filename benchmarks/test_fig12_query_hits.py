@@ -16,7 +16,8 @@ from conftest import emit, once
 
 from repro.agent.samplers import TailSampler
 from repro.analysis import render_table
-from repro.baselines import Hindsight, MintFramework, OTHead, OTTail, Sieve
+from repro.baselines import Hindsight, OTHead, OTTail, Sieve
+from repro.framework import MintFramework
 from repro.sim.experiment import generate_stream
 from repro.workloads import QueryWorkload, TraceRecord, build_onlineboutique
 

@@ -18,7 +18,8 @@ from conftest import emit, once
 
 from repro.agent.samplers import HeadSampler
 from repro.analysis import render_table
-from repro.baselines import MintFramework, OTHead
+from repro.baselines import OTHead
+from repro.framework import MintFramework
 from repro.sim.loadtest import FIG14_LOAD_TESTS, run_load_test
 from repro.workloads import build_trainticket
 
@@ -61,15 +62,23 @@ def run() -> list[list]:
 @pytest.mark.benchmark(group="fig14")
 def test_fig14_load_tests(benchmark):
     rows = once(benchmark, run)
+    # Only the deterministic columns are committed under results/; the
+    # wall-clock ones go to stdout, so verifying never dirties the tree.
     emit(
         "fig14_load_tests",
         render_table(
             ["test", "QPS", "APIs", "ingress KB", "egress KB (OT-Head)",
-             "egress KB (Mint)", "CPU s (OT-Head)", "CPU s (Mint)",
-             "Mint tracing mem KB"],
-            rows,
+             "egress KB (Mint)", "Mint tracing mem KB"],
+            [row[:6] + row[8:] for row in rows],
             title="Fig. 14 — 14 load tests, three replicas",
         ),
+    )
+    print(
+        render_table(
+            ["test", "CPU s (OT-Head)", "CPU s (Mint)"],
+            [[row[0], row[6], row[7]] for row in rows],
+            title="Fig. 14 — tracing pipeline wall clock (this machine)",
+        )
     )
     for row in rows:
         _, qps, apis, ingress, head_egress, mint_egress, _, _, mint_mem = row

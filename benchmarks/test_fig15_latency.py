@@ -18,8 +18,9 @@ import pytest
 from conftest import emit, once
 
 from repro.analysis import render_table
-from repro.baselines import MintFramework, OTFull
-from repro.sim.experiment import generate_stream
+from repro.baselines import OTFull
+from repro.framework import MintFramework
+from repro.sim.experiment import drive, generate_stream
 from repro.sim.loadtest import measure_query_latency
 from repro.workloads import build_onlineboutique
 
@@ -31,13 +32,7 @@ def run() -> dict:
     stream, _ = generate_stream(workload, NUM_TRACES, abnormal_rate=0.05, seed=23)
     mint = MintFramework(auto_warmup_traces=50)
     full = OTFull()
-    import time
-
-    started = time.perf_counter()
-    for now, trace in stream:
-        mint.process_trace(trace, now)
-    mint.finalize(stream[-1][0])
-    mint_cpu = time.perf_counter() - started
+    mint_cpu = drive(mint, stream)
     for now, trace in stream:
         full.process_trace(trace, now)
     total_spans = sum(len(t.spans) for _, t in stream)
@@ -62,18 +57,31 @@ def run() -> dict:
 @pytest.mark.benchmark(group="fig15")
 def test_fig15_latency(benchmark):
     out = once(benchmark, run)
-    rows = [
-        ["agent cost per span (ms)", round(out["per_span_ms"], 4)],
-        ["mean span duration (ms)", round(out["mean_span_ms"], 2)],
-        ["mean request duration (ms)", round(out["mean_request_ms"], 2)],
-        ["request latency overhead (%)", round(out["request_overhead_pct"], 3)],
-        ["Mint query mean (ms)", round(out["mint_query"]["mean_ms"], 3)],
-        ["Mint query P95 (ms)", round(out["mint_query"]["p95_ms"], 3)],
-        ["OT-Full query mean (ms)", round(out["full_query"]["mean_ms"], 3)],
-    ]
+    # Only the deterministic rows are committed under results/; the
+    # wall-clock ones go to stdout, so verifying never dirties the tree.
     emit(
         "fig15_latency",
-        render_table(["metric", "value"], rows, title="Fig. 15 — latency impact"),
+        render_table(
+            ["metric", "value"],
+            [
+                ["mean span duration (ms)", round(out["mean_span_ms"], 2)],
+                ["mean request duration (ms)", round(out["mean_request_ms"], 2)],
+            ],
+            title="Fig. 15 — latency impact",
+        ),
+    )
+    print(
+        render_table(
+            ["metric", "value"],
+            [
+                ["agent cost per span (ms)", round(out["per_span_ms"], 4)],
+                ["request latency overhead (%)", round(out["request_overhead_pct"], 3)],
+                ["Mint query mean (ms)", round(out["mint_query"]["mean_ms"], 3)],
+                ["Mint query P95 (ms)", round(out["mint_query"]["p95_ms"], 3)],
+                ["OT-Full query mean (ms)", round(out["full_query"]["mean_ms"], 3)],
+            ],
+            title="Fig. 15 — wall clock (this machine)",
+        )
     )
     # (a) Tracing adds a small fraction of a span's own duration.  (The
     # paper's 0.21 % is native-agent territory; pure Python costs more,

@@ -23,7 +23,8 @@ from conftest import emit, once
 
 from repro.agent.samplers import TailSampler
 from repro.analysis import render_table, top1_accuracy
-from repro.baselines import Hindsight, MintFramework, OTHead, OTTail, Sieve
+from repro.baselines import Hindsight, OTHead, OTTail, Sieve
+from repro.framework import MintFramework
 from repro.rca import MicroRank, TraceAnomaly, TraceRCA
 from repro.sim.experiment import FrameworkRun, rca_views_for_framework
 from repro.workloads import (

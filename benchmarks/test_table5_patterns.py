@@ -15,7 +15,7 @@ import pytest
 from conftest import emit, once
 
 from repro.analysis import render_table
-from repro.baselines import MintFramework
+from repro.framework import MintFramework
 from repro.workloads import SUBSERVICE_SPECS, WorkloadDriver, build_subservice
 
 SCALED_TRACES = 600

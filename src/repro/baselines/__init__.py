@@ -13,25 +13,17 @@ identical byte meters, so the Fig. 11 comparison is apples-to-apples:
 * ``Sieve`` — RRCF-based biased tail sampling (ICWS '21).
 
 ``MintFramework`` — this paper's system — is *not* a baseline and
-lives at :mod:`repro.framework` since PR 5; it is still importable
-from here (lazily, to keep the package import-cycle-free) for
-backwards compatibility.
+lives at :mod:`repro.framework`.
 """
 
-from typing import TYPE_CHECKING
-
-from repro.baselines.base import FrameworkQueryResult, TracingFramework
+from repro.baselines.base import TracingFramework
 from repro.baselines.hindsight import Hindsight
 from repro.baselines.otel import OTFull, OTHead, OTTail
 from repro.baselines.rrcf import RandomCutTree, RobustRandomCutForest
 from repro.baselines.sieve import Sieve
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.framework import MintFramework
-
 __all__ = [
     "TracingFramework",
-    "FrameworkQueryResult",
     "OTFull",
     "OTHead",
     "OTTail",
@@ -39,16 +31,4 @@ __all__ = [
     "Sieve",
     "RobustRandomCutForest",
     "RandomCutTree",
-    "MintFramework",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecated re-export, resolved lazily: repro.framework subclasses
-    # TracingFramework from this package, so an eager import here would
-    # be a cycle whenever repro.framework is imported first.
-    if name == "MintFramework":
-        from repro.framework import MintFramework
-
-        return MintFramework
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

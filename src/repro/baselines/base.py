@@ -28,11 +28,6 @@ from repro.query.result import QueryResult, QueryStatus
 from repro.query.spec import QuerySpec, matches_result
 from repro.sim.meters import OverheadLedger
 
-# The baselines' parallel result wrapper is absorbed by the unified
-# model: one class, one status enum, for the framework and every
-# baseline alike.  The old name remains importable.
-FrameworkQueryResult = QueryResult
-
 
 class TracingFramework(abc.ABC):
     """Base class: meters plus the ingest/query contract."""

@@ -37,7 +37,7 @@ deltas, and an in-epoch eviction raises a deterministic
 :class:`~repro.concurrent.lanes.LaneError` naming the lane, epoch and
 buffered bytes instead of letting the run silently diverge.  The
 default 4 MB buffers hold hundreds of epochs of gate workloads, and
-the invariance gate in ``run_concurrent_bench.py --check`` pins the
+the invariance gate in ``run.py concurrent --check`` pins the
 guarantee empirically.
 """
 

@@ -21,7 +21,7 @@ package makes it elastic while keeping every invariance gate:
   under the fig14 load shapes.
 
 Two gates pin this package's correctness
-(``benchmarks/perf/run_elastic_bench.py --check``):
+(``benchmarks/perf/run.py elastic --check``):
 
 * **reshard bit-identity** — after a live ``from_n -> to_n`` migration
   the deployment's byte tables, query signatures and stored-trace sets

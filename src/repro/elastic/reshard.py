@@ -23,7 +23,7 @@ Pattern libraries never move: their ids are content hashes, so the
 merged fan-out resolves any shard's copy, and the destination re-learns
 patterns from live traffic for free.  When every host is placed, the
 routing modulus flips to ``to_n`` and the overrides dissolve into the
-hash map.  The correctness bar (``run_elastic_bench.py --check``) is
+hash map.  The correctness bar (``run.py elastic --check``) is
 bit-identity: a migrated deployment's byte tables, query signatures and
 stored-trace sets equal a fresh ``Deployment.sharded(to_n)`` run over
 the same stream.

@@ -1,10 +1,8 @@
 """The Mint framework — the system under test, behind the common
 :class:`~repro.baselines.base.TracingFramework` interface.
 
-(Until PR 5 this class lived in ``repro.baselines.mint_framework``;
-it is *compared against* the baselines but is not one of them, so it
-now sits at the package root.  The old import path keeps working as a
-deprecated re-export.)
+(It is *compared against* the baselines but is not one of them, so it
+sits at the package root.)
 
 Deploys one agent + collector per application node (nodes are
 discovered from incoming spans), a backend plane built from a
@@ -318,12 +316,6 @@ class MintFramework(TracingFramework):
         everywhere else."""
         if self._plane is not None:
             self._plane.quiesce()
-
-    def query_full(self, trace_id: str) -> QueryResult:
-        """Deprecated alias of :meth:`query`, which now returns the
-        reconstructed payloads itself (the historical split between a
-        status-only ``query`` and a payload ``query_full`` is gone)."""
-        return self.query(trace_id)
 
     def stored_trace_ids(self) -> set[str]:
         self._quiesce()

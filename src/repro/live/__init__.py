@@ -11,7 +11,7 @@ over the simulated wire (dedicated ``push::`` links, the separate
 The plane's contract: a subscription's accumulated hit set over a
 stream is bit-identical to running the same spec as a post-hoc batch
 query, on every topology, under chaos, across live reshard — gated by
-``benchmarks/perf/run_live_bench.py --check``.
+``benchmarks/perf/run.py live --check``.
 """
 
 from repro.live.plane import LiveQueryPlane

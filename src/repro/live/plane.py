@@ -37,7 +37,7 @@ plane therefore pushes only what can never be retracted:
 
 Under-delivery is thus repaired by construction and over-delivery
 prevented by construction, which is the headline identity gate of
-``run_live_bench.py --check``.
+``run.py live --check``.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ retransmission that dominate real deployments.
   send queues with size/age-triggered batch flushing and backpressure.
 
 Two gates pin the plane's correctness
-(``benchmarks/perf/run_net_bench.py --check``):
+(``benchmarks/perf/run.py net --check``):
 
 * **lossless equivalence** — under the default (zero-latency, lossless)
   :class:`NetworkDescriptor`, byte tables, per-minute meter series and

@@ -10,7 +10,7 @@ delivered to the backend by the reliable layer — exactly once, in
 per-link FIFO order.
 
 Byte-accounting invariants, enforced by
-``benchmarks/perf/run_net_bench.py --check``:
+``benchmarks/perf/run.py net --check``:
 
 * first transmissions charge the deployment's ``network`` meter at
   *enqueue* time — so the network meter's totals are identical to

@@ -10,7 +10,7 @@ The plane's hard contract mirrors every other plane's: observability on
 vs off is bit-identical on byte tables, meter series and query
 signatures — instrumentation may read clocks, never pump them — and
 the full registry's ingest overhead stays under the checked bound
-(``benchmarks/perf/run_obs_bench.py --check``).
+(``benchmarks/perf/run.py obs --check``).
 """
 
 from repro.obs.export import render_prometheus, report_to_json

@@ -16,12 +16,12 @@ the Mint framework and all baselines:
 * :class:`QueryResult` / :class:`QueryStatus` — the one result model:
   ``exact`` (full reconstruction), ``partial`` (approximate trace) or
   ``miss``, replacing both the backend's stringly status and the
-  baselines' parallel ``FrameworkQueryResult`` wrapper;
+  baselines' former parallel result wrapper;
 * :class:`QueryEngine` — the protocol every framework implements
   (``execute`` / ``query`` / ``query_many``).
 
 Correctness contract (the bit-identity gate,
-``benchmarks/perf/run_query_bench.py --check``): a point lookup
+``benchmarks/perf/run.py query --check``): a point lookup
 compiled through the planner returns exactly the reference
 :class:`~repro.backend.querier.Querier` answer — same status, same
 reconstructed spans, same approximate segments — for every deployment

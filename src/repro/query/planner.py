@@ -24,7 +24,7 @@ Reconstruction itself is *not* re-implemented: the plan points the
 reference :class:`~repro.backend.querier.Querier` at a view whose only
 override is the amortised/pushed-down ``patterns_matching_trace``.
 Same code, same answers — bit-identity by construction, which is what
-``run_query_bench.py --check`` pins across deployments.
+``run.py query --check`` pins across deployments.
 """
 
 from __future__ import annotations

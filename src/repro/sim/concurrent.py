@@ -15,23 +15,19 @@ harness uses:
   answers match the sequential run's at the same prefix.
 
 Every function returns violations instead of asserting, so the bench
-gate (``run_concurrent_bench.py --check``) and the unit tests share
-one implementation of the checks.
+gate (``benchmarks/perf/run.py concurrent --check``) and the unit
+tests share one implementation of the checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.concurrent.verify import compare_fingerprints, fingerprint
 from repro.framework import MintFramework
-from repro.sim.experiment import generate_stream
+from repro.sim.experiment import drive, generate_stream
 from repro.transport import Deployment
 from repro.workloads.specs import Workload
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.model.trace import Trace
 
 DEFAULT_WORKER_COUNTS = (1, 2, 4)
 
@@ -51,14 +47,6 @@ class ConcurrentExperimentResult:
     def identical(self) -> bool:
         """True when every parallel run matched the reference bit-for-bit."""
         return not self.violations
-
-
-def _drive(framework: MintFramework, stream: list[tuple[float, "Trace"]]) -> None:
-    last_now = 0.0
-    for now, trace in stream:
-        framework.process_trace(trace, now)
-        last_now = now
-    framework.finalize(last_now)
 
 
 def _deployment(num_shards: int, workers: int, mode: str, epoch: int) -> Deployment:
@@ -94,7 +82,7 @@ def run_concurrent_experiment(
         auto_warmup_traces=warmup_traces,
         deployment=_deployment(num_shards, 0, "thread", ingest_epoch),
     )
-    _drive(reference, stream)
+    drive(reference, stream)
     reference_print = fingerprint(reference, stream)
 
     result = ConcurrentExperimentResult(
@@ -109,7 +97,7 @@ def run_concurrent_experiment(
             deployment=_deployment(num_shards, workers, mode, ingest_epoch),
         )
         try:
-            _drive(framework, stream)
+            drive(framework, stream)
             candidate_print = fingerprint(framework, stream)
             result.violations.extend(
                 compare_fingerprints(

@@ -16,8 +16,8 @@ harnesses use:
   events the pressure actually triggered.
 
 Every function returns violations instead of asserting, so the bench
-gate (``run_elastic_bench.py --check``) and the unit tests share one
-implementation of the checks.
+gate (``benchmarks/perf/run.py elastic --check``) and the unit tests
+share one implementation of the checks.
 """
 
 from __future__ import annotations
@@ -25,18 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.concurrent.verify import compare_fingerprints, fingerprint, query_signature
 from repro.elastic.autoscale import AutoscalePolicy, Autoscaler
 from repro.elastic.chaos import SHARD_CHAOS_PROFILES, ShardChaosProfile, fit_outages
 from repro.elastic.reshard import ReshardCoordinator, placement_violations
 from repro.framework import MintFramework
 from repro.query.result import QueryStatus
-from repro.sim.experiment import generate_stream
+from repro.sim.experiment import drive, generate_stream
 from repro.sim.loadtest import LoadTestSpec, _load_test_traces, restrict_apis
 from repro.transport import Deployment
 from repro.workloads.specs import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.model.trace import Trace
     from repro.net.transport import NetworkDescriptor
 
 # exact > partial > miss: a degraded answer may only move rightward.
@@ -45,51 +45,6 @@ _STATUS_RANK = {
     QueryStatus.PARTIAL: 1,
     QueryStatus.MISS: 0,
 }
-
-
-def elastic_byte_tables(framework: MintFramework) -> dict[str, int]:
-    """The invariance byte tables (merged/deduplicated figures)."""
-    storage = framework.backend.storage
-    return {
-        "network_bytes": framework.network_bytes,
-        "storage_bytes": framework.storage_bytes,
-        "pattern_bytes": storage.pattern_bytes,
-        "bloom_bytes": storage.bloom_bytes,
-        "params_bytes": storage.params_bytes,
-    }
-
-
-def elastic_query_signature(
-    framework: MintFramework, stream: list[tuple[float, "Trace"]]
-) -> list[tuple[str, str]]:
-    """(trace id, status detail) per trace — the equivalence oracle.
-
-    Exact hits fold in the reconstructed span count and partial hits
-    the segment shape, so "same statuses" cannot hide a reconstruction
-    that silently changed.
-    """
-    signature: list[tuple[str, str]] = []
-    for result in framework.query_many(trace.trace_id for _, trace in stream):
-        detail = str(result.status)
-        if result.status is QueryStatus.EXACT and result.trace is not None:
-            detail += f":{len(result.trace.spans)}"
-        elif result.status is QueryStatus.PARTIAL and result.approximate is not None:
-            detail += ":" + ",".join(
-                f"{seg.topo_pattern_id}/{seg.span_count}"
-                for seg in result.approximate.segments
-            )
-        signature.append((result.trace_id, detail))
-    return signature
-
-
-def _drive(
-    framework: MintFramework, stream: list[tuple[float, "Trace"]]
-) -> None:
-    last_now = 0.0
-    for now, trace in stream:
-        framework.process_trace(trace, now)
-        last_now = now
-    framework.finalize(last_now)
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +98,7 @@ def run_reshard_experiment(
         deployment=Deployment.sharded(to_shards, network=network),
         auto_warmup_traces=auto_warmup_traces,
     )
-    _drive(reference, stream)
+    drive(reference, stream)
 
     elastic = MintFramework(
         deployment=Deployment.resharded(from_shards, to_shards, network=network),
@@ -167,19 +122,16 @@ def run_reshard_experiment(
     coordinator.run()
     elastic.finalize(last_now)
 
-    violations: list[str] = []
-    ref_tables = elastic_byte_tables(reference)
-    ela_tables = elastic_byte_tables(elastic)
-    for key, want in ref_tables.items():
-        got = ela_tables[key]
-        if got != want:
-            violations.append(f"{key}: migrated {got} != fresh {want}")
-    if elastic_query_signature(elastic, stream) != elastic_query_signature(
-        reference, stream
-    ):
-        violations.append("query signatures diverge from the fresh deployment")
-    if elastic.stored_trace_ids() != reference.stored_trace_ids():
-        violations.append("stored-trace sets diverge from the fresh deployment")
+    # Ledger attribution and minute buckets legitimately differ (hosts
+    # changed shards mid-stream); everything else must match the fresh
+    # deployment.
+    elastic_print = fingerprint(elastic, stream)
+    violations = compare_fingerprints(
+        fingerprint(reference, stream),
+        elastic_print,
+        label="migrated",
+        keys=("byte_tables", "query_signature", "stored_trace_ids"),
+    )
     violations.extend(placement_violations(elastic.backend))
     if elastic.backend.num_shards != to_shards:
         violations.append(
@@ -203,7 +155,7 @@ def run_reshard_experiment(
         violations=violations,
         migration=coordinator.stats.as_dict(),
         migration_bytes=elastic.migration_bytes,
-        byte_tables=ela_tables,
+        byte_tables=elastic_print["byte_tables"],
     )
 
 
@@ -271,7 +223,7 @@ def run_failover_experiment(
         deployment=Deployment.sharded(num_shards, network=network),
         auto_warmup_traces=auto_warmup_traces,
     )
-    _drive(baseline, stream)
+    drive(baseline, stream)
     baseline_status = {
         result.trace_id: result.status
         for result in baseline.query_many(t.trace_id for _, t in stream)
@@ -322,14 +274,14 @@ def run_failover_experiment(
         violations.append("supervisor parked nothing — the chaos never fired")
 
     if recoverable:
-        if elastic_query_signature(chaotic, stream) != elastic_query_signature(
-            baseline, stream
-        ):
-            violations.append("post-replay query signatures diverge from no-chaos run")
-        for key, want in elastic_byte_tables(baseline).items():
-            got = elastic_byte_tables(chaotic)[key]
-            if got != want:
-                violations.append(f"{key}: post-replay {got} != no-chaos {want}")
+        violations.extend(
+            compare_fingerprints(
+                fingerprint(baseline, stream),
+                fingerprint(chaotic, stream),
+                label="post-replay",
+                keys=("byte_tables", "query_signature"),
+            )
+        )
         if stats is not None and stats.replayed != stats.parked - stats.dropped:
             violations.append(
                 f"replayed {stats.replayed} of {stats.parked} parked "
@@ -342,9 +294,10 @@ def run_failover_experiment(
                 "permanent crash but the redelivery queue is empty — "
                 "undeliverable reports were lost or misdelivered"
             )
-        permanently_degraded = elastic_query_signature(
-            chaotic, stream
-        ) != elastic_query_signature(baseline, stream)
+        trace_ids = [trace.trace_id for _, trace in stream]
+        permanently_degraded = query_signature(chaotic, trace_ids) != query_signature(
+            baseline, trace_ids
+        )
         if not permanently_degraded and (stats is None or stats.parked == 0):
             violations.append("permanent crash left no trace at all")
     return FailoverExperimentResult(
@@ -437,7 +390,7 @@ def run_elastic_load_test(
         deployment=Deployment.sharded(start_shards, network=network),
         auto_warmup_traces=auto_warmup_traces,
     )
-    _drive(baseline, stream)
+    drive(baseline, stream)
 
     elastic = MintFramework(
         deployment=Deployment.elastic_sharded(
@@ -464,9 +417,8 @@ def run_elastic_load_test(
             f"queue depth peaked at {scaler.peak_depth} but no scale event "
             f"fired (scale_up_depth={policy.scale_up_depth})"
         )
-    if elastic_query_signature(elastic, stream) != elastic_query_signature(
-        baseline, stream
-    ):
+    trace_ids = [trace.trace_id for _, trace in stream]
+    if query_signature(elastic, trace_ids) != query_signature(baseline, trace_ids):
         violations.append("autoscaled run's answers diverge from the baseline")
     violations.extend(placement_violations(elastic.backend))
     return ElasticLoadTestResult(

@@ -87,6 +87,19 @@ def generate_stream(
     return stream, fault_targets
 
 
+def drive(framework: TracingFramework, stream: list[tuple[float, Trace]]) -> float:
+    """Feed every (timestamp, trace) to ``framework``, finalize at the
+    last timestamp, and return the wall-clock seconds the run took —
+    the one process-all-then-finalize loop every harness shares."""
+    started = time.perf_counter()
+    last_now = 0.0
+    for now, trace in stream:
+        framework.process_trace(trace, now)
+        last_now = now
+    framework.finalize(last_now)
+    return time.perf_counter() - started
+
+
 def run_experiment(
     workload: Workload,
     factories: dict[str, FrameworkFactory],
@@ -120,13 +133,7 @@ def run_experiment(
     )
     for name, factory in factories.items():
         framework = factory()
-        started = time.perf_counter()
-        last_now = 0.0
-        for now, trace in stream:
-            framework.process_trace(trace, now)
-            last_now = now
-        framework.finalize(last_now)
-        elapsed = time.perf_counter() - started
+        elapsed = drive(framework, stream)
         # One batched sweep through the unified query plane, folded by
         # the shared metric helper (plain string keys for the tables).
         hits = hit_breakdown(
@@ -319,19 +326,13 @@ def run_net_experiment(
     )
     duration_s = stream[-1][0] if stream else 0.0
 
-    def drive(deployment: Deployment) -> tuple[FrameworkRun, list[tuple[str, str]]]:
+    def run_on(deployment: Deployment) -> tuple[FrameworkRun, list[tuple[str, str]]]:
         """One full run plus its per-trace status signature (queried
         once; the hit counts are folded from the same sweep)."""
         framework = MintFramework(
             deployment=deployment, auto_warmup_traces=auto_warmup_traces
         )
-        started = time.perf_counter()
-        last_now = 0.0
-        for now, trace in stream:
-            framework.process_trace(trace, now)
-            last_now = now
-        framework.finalize(last_now)
-        elapsed = time.perf_counter() - started
+        elapsed = drive(framework, stream)
         signature = [
             (result.trace_id, result.status)
             for result in framework.query_many(t.trace_id for _, t in stream)
@@ -347,7 +348,7 @@ def run_net_experiment(
         )
         return run, signature
 
-    reference, reference_statuses = drive(topology)
+    reference, reference_statuses = run_on(topology)
 
     def check(run: FrameworkRun, statuses: list[tuple[str, str]], label: str) -> list[str]:
         violations = []
@@ -365,7 +366,7 @@ def run_net_experiment(
             violations.append(f"{label}: query statuses diverge from reference")
         return violations
 
-    lossless_run, lossless_statuses = drive(
+    lossless_run, lossless_statuses = run_on(
         Deployment(num_shards=num_shards, network=NetworkDescriptor.lossless())
     )
     lossless_violations = check(lossless_run, lossless_statuses, "lossless-net")
@@ -392,7 +393,7 @@ def run_net_experiment(
 
     for name, profile in sorted(profiles.items()):
         fitted = fit_partitions(profile, duration_s)
-        chaos_run, chaos_statuses = drive(
+        chaos_run, chaos_statuses = run_on(
             Deployment(
                 num_shards=num_shards, network=network.with_chaos(fitted, seed=seed)
             )

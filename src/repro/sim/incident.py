@@ -42,7 +42,7 @@ from repro.net.transport import CHAOS_WIRE
 from repro.rca.tracerca import TraceRCA
 from repro.rca.views import views_from_cursor
 from repro.transport import Deployment
-from repro.workloads import build_dataset, build_onlineboutique, build_trainticket
+from repro.workloads import WORKLOAD_BUILDERS
 from repro.workloads.faults import FaultInjector, FaultSpec, FaultType
 from repro.workloads.generator import WorkloadDriver
 from repro.workloads.specs import Workload
@@ -55,12 +55,6 @@ DEFAULT_PROFILES = ("lossless", "drop", "delay")
 #: analyst's incident window: enough pre-fault traffic for RCA's
 #: normal-contrast mining, bounded so probes stay cheap).
 DEFAULT_PROBE_WINDOW = 200
-
-_WORKLOAD_BUILDERS = {
-    "onlineboutique": build_onlineboutique,
-    "trainticket": build_trainticket,
-    "alibaba": lambda: build_dataset("A"),
-}
 
 
 @dataclass(frozen=True)
@@ -215,7 +209,7 @@ def run_incident(
     from repro.framework import MintFramework
     from repro.query.spec import QuerySpec
 
-    workload = _WORKLOAD_BUILDERS[workload_name]()
+    workload = WORKLOAD_BUILDERS[workload_name]()
     stream, target, fault_time, faulty_ids = _build_incident_stream(
         workload, num_traces, fault_start_frac, fault_type, fault_rate,
         seed, requests_per_minute,

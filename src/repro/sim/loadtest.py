@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.baselines.base import TracingFramework
 from repro.framework import MintFramework
 from repro.model.encoding import encoded_size
-from repro.sim.experiment import generate_stream
+from repro.sim.experiment import drive, generate_stream
 from repro.transport import Deployment
 from repro.workloads.specs import Workload
 
@@ -158,13 +158,7 @@ def _run_load_test_instrumented(
             None,
         )
     framework = factory()
-    started = time.perf_counter()
-    last_now = 0.0
-    for now, trace in stream:
-        framework.process_trace(trace, now)
-        last_now = now
-    framework.finalize(last_now)
-    cpu = time.perf_counter() - started
+    cpu = drive(framework, stream)
     total_spans = sum(len(trace.spans) for _, trace in stream)
     per_span_ms = (cpu / max(1, total_spans)) * 1000.0
     return (

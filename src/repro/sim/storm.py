@@ -15,21 +15,21 @@ overlay rather than scheduled traffic, which keeps the storm read-only
 by construction.
 
 That read-only property is the harness's convergence gate: a storm run
-must leave byte tables, per-minute network series and the full query
-signature bit-identical to a quiet (storm-free, subscription-free) run
-of the same stream — analyst load, at any QPS, perturbs nothing the
-paper's figures measure.
+must leave the :data:`CONVERGENCE_KEYS` sections of the shared
+fingerprint (:mod:`repro.concurrent.verify`) — byte tables, per-minute
+meter series, the full query signature — bit-identical to a quiet
+(storm-free, subscription-free) run of the same stream: analyst load,
+at any QPS, perturbs nothing the paper's figures measure.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any
 
+from repro.concurrent.verify import fingerprint
 from repro.model.encoding import encoded_size
 from repro.net.transport import CHAOS_WIRE
 from repro.query.result import QueryStatus
@@ -37,7 +37,7 @@ from repro.query.spec import QuerySpec
 from repro.sim.experiment import generate_stream
 from repro.sim.loadtest import restrict_apis
 from repro.transport import Deployment
-from repro.workloads import build_dataset, build_onlineboutique, build_trainticket
+from repro.workloads import WORKLOAD_BUILDERS
 from repro.workloads.queries import QueryWorkload
 
 #: Modeled wire sizes of the query path: the request (a trace id plus
@@ -47,11 +47,11 @@ QUERY_REQUEST_BYTES = 64
 PARTIAL_RESPONSE_BYTES = 256
 MISS_RESPONSE_BYTES = 64
 
-_WORKLOAD_BUILDERS = {
-    "onlineboutique": build_onlineboutique,
-    "trainticket": build_trainticket,
-    "alibaba": lambda: build_dataset("A"),
-}
+#: The fingerprint sections a storm run must share with its quiet
+#: control.  The ``push`` and ``retransmit`` meters are outside the
+#: fingerprint altogether — separated traffic may differ; the figures
+#: may not.
+CONVERGENCE_KEYS = ("byte_tables", "meter_series", "query_signature")
 
 
 def _percentile(samples: list[float], q: float) -> float:
@@ -84,6 +84,7 @@ class StormResult:
     fingerprint: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
+        """Report-ready fields (the bulky fingerprint stays out)."""
         return {
             "workload": self.workload,
             "topology": self.topology,
@@ -101,7 +102,6 @@ class StormResult:
             "statuses": dict(self.statuses),
             "push_bytes": self.push_bytes,
             "subscription": self.subscription,
-            "fingerprint": dict(self.fingerprint),
         }
 
 
@@ -138,7 +138,7 @@ def run_storm(
     """
     from repro.framework import MintFramework
 
-    workload = restrict_apis(_WORKLOAD_BUILDERS[workload_name](), api_count)
+    workload = restrict_apis(WORKLOAD_BUILDERS[workload_name](), api_count)
     stream, _ = generate_stream(
         workload,
         num_traces,
@@ -214,7 +214,7 @@ def run_storm(
             issue_query()
     framework.finalize(last_now)
 
-    fingerprint = _fingerprint(framework, ingested)
+    run_print = fingerprint(framework, stream)
     issued = len(totals)
     result = StormResult(
         workload=workload_name,
@@ -239,42 +239,10 @@ def run_storm(
                 "hits": len(subscription.hit_ids),
             }
         ),
-        fingerprint=fingerprint,
+        fingerprint=run_print,
     )
     framework.close()
     return result
 
 
-def _fingerprint(framework, trace_ids: list[str]) -> dict[str, Any]:
-    """The convergence oracle of one run: every byte table the paper's
-    figures read, the per-minute network series, and a digest of the
-    full post-hoc query signature.  Deliberately excludes the ``push``
-    and ``retransmit`` meters — separated traffic is allowed to differ
-    between a storm run and its quiet control; the figures are not."""
-    storage = framework.backend.storage
-    signature = []
-    for result in framework.query_many(trace_ids):
-        detail = str(result.status)
-        if result.status is QueryStatus.EXACT and result.trace is not None:
-            detail += f":{len(result.trace.spans)}"
-        elif result.status is QueryStatus.PARTIAL and result.approximate is not None:
-            detail += ":" + ",".join(
-                f"{seg.topo_pattern_id}/{seg.span_count}"
-                for seg in result.approximate.segments
-            )
-        signature.append((result.trace_id, detail))
-    digest = hashlib.sha256(
-        json.dumps(signature, separators=(",", ":")).encode()
-    ).hexdigest()
-    return {
-        "network_bytes": framework.network_bytes,
-        "storage_bytes": framework.storage_bytes,
-        "pattern_bytes": storage.pattern_bytes,
-        "bloom_bytes": storage.bloom_bytes,
-        "params_bytes": storage.params_bytes,
-        "network_series": framework.ledger.network.per_minute_series(),
-        "query_signature_sha256": digest,
-    }
-
-
-__all__ = ["StormResult", "run_storm", "storm_deployment"]
+__all__ = ["CONVERGENCE_KEYS", "StormResult", "run_storm", "storm_deployment"]

@@ -21,7 +21,17 @@ from repro.workloads.specs import (
 )
 from repro.workloads.trainticket import build_trainticket
 
+#: The three workloads the paper evaluates end to end, by the names the
+#: harnesses take.  Alibaba is dataset A of Fig. 13, the largest
+#: topology mix of the six.
+WORKLOAD_BUILDERS = {
+    "onlineboutique": build_onlineboutique,
+    "trainticket": build_trainticket,
+    "alibaba": lambda: build_dataset("A"),
+}
+
 __all__ = [
+    "WORKLOAD_BUILDERS",
     "ApiSpec",
     "CallSpec",
     "StringAttributeSpec",

@@ -176,8 +176,8 @@ class TestCrossAgentCoordination:
 
 class TestStitching:
     def test_cross_node_approximate_trace_ordered(self):
-        from repro.workloads import build_onlineboutique, WorkloadDriver
-        from repro.baselines import MintFramework
+        from repro.framework import MintFramework
+        from repro.workloads import WorkloadDriver, build_onlineboutique
 
         mint = MintFramework(
             config=MintConfig(edge_case_base_rate=0.0), auto_warmup_traces=5
@@ -190,7 +190,7 @@ class TestStitching:
         # Find an unsampled multi-node trace and check the approximate
         # reconstruction covers its services.
         for trace in traces[10:]:
-            result = mint.query_full(trace.trace_id)
+            result = mint.query(trace.trace_id)
             if result.status != "partial":
                 continue
             approx = result.approximate

@@ -65,7 +65,7 @@ class TestFlameGraphExact:
     def test_render_text(self, mint_with_traffic):
         mint, traces = mint_with_traffic
         exact_id = sorted(mint.stored_trace_ids())[0]
-        text = render_flame_graph(mint.query_full(exact_id))
+        text = render_flame_graph(mint.query(exact_id))
         assert "[exact]" in text
         assert "▇" in text
         # Indentation grows with depth.
@@ -81,7 +81,7 @@ class TestFlameGraphApproximate:
             for t in traces
             if mint.query(t.trace_id).status == "partial"
         )
-        result = mint.query_full(partial)
+        result = mint.query(partial)
         roots = flame_graph(result)
         assert roots
         text = render_flame_graph(result)
@@ -91,7 +91,7 @@ class TestFlameGraphApproximate:
 
     def test_miss_renders_empty(self, mint_with_traffic):
         mint, _ = mint_with_traffic
-        result = mint.query_full("e" * 32)
+        result = mint.query("e" * 32)
         if result.status == "miss":
             assert flame_graph(result) == []
 
@@ -99,14 +99,14 @@ class TestFlameGraphApproximate:
 class TestBatchAnalysis:
     def test_population_counts(self, mint_with_traffic):
         mint, traces = mint_with_traffic
-        analysis = batch_analyze(mint.query_full(t.trace_id) for t in traces)
+        analysis = batch_analyze(mint.query(t.trace_id) for t in traces)
         assert analysis.traces_seen == len(traces)
         assert analysis.exact_traces + analysis.partial_traces == len(traces)
         assert analysis.spans_available > len(traces)
 
     def test_paths_aggregated(self, mint_with_traffic):
         mint, traces = mint_with_traffic
-        analysis = batch_analyze(mint.query_full(t.trace_id) for t in traces)
+        analysis = batch_analyze(mint.query(t.trace_id) for t in traces)
         assert analysis.top_paths
         top_path, count = analysis.top_paths[0]
         assert count >= 1
@@ -114,7 +114,7 @@ class TestBatchAnalysis:
 
     def test_duration_buckets_collected(self, mint_with_traffic):
         mint, traces = mint_with_traffic
-        analysis = batch_analyze(mint.query_full(t.trace_id) for t in traces)
+        analysis = batch_analyze(mint.query(t.trace_id) for t in traces)
         assert analysis.service_duration_buckets
         some_service = next(iter(analysis.service_duration_buckets))
         assert sum(analysis.service_duration_buckets[some_service].values()) > 0

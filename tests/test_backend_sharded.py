@@ -15,9 +15,9 @@ from repro.agent.collector import MintCollector
 from repro.agent.config import MintConfig
 from repro.backend.backend import MintBackend
 from repro.backend.sharded import ShardedBackend, shard_for_key
-from repro.baselines import MintFramework
+from repro.framework import MintFramework
 from repro.model.encoding import encode_trace
-from repro.sim.experiment import generate_stream
+from repro.sim.experiment import drive, generate_stream
 from repro.transport import Deployment
 from repro.workloads import build_onlineboutique
 from tests.conftest import make_chain_trace, make_span
@@ -311,18 +311,14 @@ class TestShardInvariance:
 
     @staticmethod
     def _drive(framework, stream):
-        last = 0.0
-        for now, trace in stream:
-            framework.process_trace(trace, now)
-            last = now
-        framework.finalize(last)
+        drive(framework, stream)
         return framework
 
     def test_single_shard_equals_single_backend(self, stream, reference, sharded):
         single = sharded[1]
         for _, trace in stream:
-            a = reference.query_full(trace.trace_id)
-            b = single.query_full(trace.trace_id)
+            a = reference.query(trace.trace_id)
+            b = single.query(trace.trace_id)
             assert a.status == b.status, trace.trace_id
 
     def test_query_results_identical_at_every_shard_count(
@@ -330,8 +326,8 @@ class TestShardInvariance:
     ):
         for count, framework in sharded.items():
             for _, trace in stream:
-                a = reference.query_full(trace.trace_id)
-                b = framework.query_full(trace.trace_id)
+                a = reference.query(trace.trace_id)
+                b = framework.query(trace.trace_id)
                 assert a.status == b.status, (count, trace.trace_id)
                 if a.status == "exact":
                     assert encode_trace(a.trace) == encode_trace(b.trace), (

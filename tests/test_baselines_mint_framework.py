@@ -78,10 +78,10 @@ class TestQueries:
         for i, trace in enumerate(traces):
             mint.process_trace(trace, float(i))
         mint.finalize(30.0)
-        statuses = {mint.query_full(t.trace_id).status for t in traces}
+        statuses = {mint.query(t.trace_id).status for t in traces}
         assert "partial" in statuses or "exact" in statuses
         for trace in traces:
-            result = mint.query_full(trace.trace_id)
+            result = mint.query(trace.trace_id)
             if result.status == "exact":
                 assert result.trace is not None
             elif result.status == "partial":

@@ -24,6 +24,7 @@ from repro.sim.concurrent import (
     run_concurrent_experiment,
     run_snapshot_experiment,
 )
+from repro.sim.experiment import drive as sim_drive
 from repro.sim.experiment import generate_stream
 from repro.transport import Deployment
 
@@ -44,11 +45,7 @@ def stream(boutique_workload):
 
 
 def drive(framework, stream):
-    last_now = 0.0
-    for now, trace in stream:
-        framework.process_trace(trace, now)
-        last_now = now
-    framework.finalize(last_now)
+    sim_drive(framework, stream)
     return framework
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.concurrent.verify import byte_tables
 from repro.framework import MintFramework
 from repro.parsing.span_parser import SpanPatternLibrary
+from repro.sim.experiment import drive as sim_drive
 from repro.sim.experiment import generate_stream
 from repro.transport import Deployment
 from repro.workloads import build_onlineboutique
@@ -90,11 +91,7 @@ class TestEndToEndCommutativity:
         stream, _ = generate_stream(workload, 70, abnormal_rate=0.02, seed=seed)
 
         def drive(framework):
-            last_now = 0.0
-            for now, trace in stream:
-                framework.process_trace(trace, now)
-                last_now = now
-            framework.finalize(last_now)
+            sim_drive(framework, stream)
             return framework
 
         sequential = drive(

@@ -8,7 +8,8 @@ harness that the benchmarks build on.
 
 import pytest
 
-from repro.baselines import Hindsight, MintFramework, OTFull, OTHead, OTTail, Sieve
+from repro.baselines import Hindsight, OTFull, OTHead, OTTail, Sieve
+from repro.framework import MintFramework
 from repro.sim.experiment import generate_stream, rca_views_for_framework, run_experiment
 from repro.workloads import build_onlineboutique, build_trainticket
 
@@ -71,7 +72,7 @@ class TestExactReconstruction:
         originals = {t.trace_id: t for t in boutique_result.traces}
         checked = 0
         for trace_id in sorted(mint.stored_trace_ids())[:20]:
-            result = mint.query_full(trace_id)
+            result = mint.query(trace_id)
             assert result.status == "exact"
             original = originals[trace_id]
             rebuilt = {s.span_id: s for s in result.trace.spans}
@@ -98,7 +99,7 @@ class TestApproximateTraces:
         originals = {t.trace_id: t for t in boutique_result.traces}
         checked = 0
         for trace in boutique_result.traces:
-            result = mint.query_full(trace.trace_id)
+            result = mint.query(trace.trace_id)
             if result.status != "partial":
                 continue
             approx = result.approximate

@@ -10,7 +10,8 @@ checks those steady-state properties.
 import pytest
 
 from repro.agent.samplers import TailSampler
-from repro.baselines import MintFramework, OTFull
+from repro.baselines import OTFull
+from repro.framework import MintFramework
 from repro.sim.experiment import generate_stream
 from repro.workloads import build_onlineboutique
 

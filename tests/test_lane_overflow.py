@@ -17,6 +17,7 @@ import pytest
 from repro.agent.config import MintConfig
 from repro.concurrent.lanes import LaneError
 from repro.framework import MintFramework
+from repro.sim.experiment import drive as sim_drive
 from repro.sim.experiment import generate_stream
 from repro.transport import Deployment
 from repro.workloads import build_onlineboutique
@@ -37,12 +38,8 @@ def stream(boutique_workload):
 
 
 def drive(framework, stream):
-    last_now = 0.0
     try:
-        for now, trace in stream:
-            framework.process_trace(trace, now)
-            last_now = now
-        framework.finalize(last_now)
+        sim_drive(framework, stream)
     finally:
         framework.close()
     return framework

@@ -18,7 +18,7 @@ from repro.framework import MintFramework
 from repro.net.chaos import CHAOS_PROFILES, LOSSLESS, fit_partitions
 from repro.net.transport import CHAOS_WIRE
 from repro.query.spec import QuerySpec
-from repro.sim.experiment import generate_stream
+from repro.sim.experiment import drive, generate_stream
 from repro.transport import Deployment
 from repro.workloads import build_onlineboutique
 from repro.workloads.queries import QueryWorkload
@@ -29,15 +29,6 @@ def _stream(n=120, seed=7):
         build_onlineboutique(), n, abnormal_rate=0.05,
         requests_per_minute=6000.0, seed=seed,
     )[0]
-
-
-def _drive(framework, stream):
-    last = 0.0
-    for now, trace in stream:
-        framework.process_trace(trace, now)
-        last = now
-    framework.finalize(last)
-    return last
 
 
 def _batch_hits(framework, spec):
@@ -78,7 +69,7 @@ class TestStandingQueryMatching:
         framework = MintFramework(deployment=Deployment.single())
         specs = self._specs(stream)
         subs = {name: framework.subscribe(spec) for name, spec in specs.items()}
-        _drive(framework, stream)
+        drive(framework, stream)
         for name, spec in specs.items():
             assert subs[name].hit_statuses == _batch_hits(framework, spec), name
         # The panel is not vacuous: the population-wide specs hit.
@@ -92,7 +83,7 @@ class TestStandingQueryMatching:
         # deterministic stream — ids are content-derived, so the fresh
         # subscribed run sees the identical pattern universe.
         probe = MintFramework(deployment=Deployment.single())
-        _drive(probe, stream)
+        drive(probe, stream)
         partial = next(
             r
             for r in probe.query_many(t.trace_id for _, t in stream)
@@ -107,7 +98,7 @@ class TestStandingQueryMatching:
         )
         framework = MintFramework(deployment=Deployment.single())
         sub = framework.subscribe(spec)
-        _drive(framework, stream)
+        drive(framework, stream)
         assert sub.hit_statuses == _batch_hits(framework, spec)
         assert partial.trace_id in sub.hit_ids
         framework.close()
@@ -130,7 +121,7 @@ class TestStandingQueryMatching:
             framework.process_trace(trace, now)
         framework.unsubscribe(sub)
         frozen = sub.hit_ids
-        _drive(framework, stream[half:])
+        drive(framework, stream[half:])
         assert not sub.active
         assert sub.hit_ids == frozen
         assert framework.live_stats()["active"] == 0
@@ -153,7 +144,7 @@ class TestPushUnderChaos:
         batch_sub = framework.subscribe(
             QuerySpec.batch([t.trace_id for _, t in stream][::5])
         )
-        _drive(framework, stream)
+        drive(framework, stream)
         assert sub.hit_statuses == _batch_hits(framework, sub.spec)
         assert batch_sub.hit_statuses == _batch_hits(framework, batch_sub.spec)
         # Idempotence: whatever the wire duplicated, each trace was
@@ -166,10 +157,10 @@ class TestPushUnderChaos:
     def test_repeated_finalize_pushes_nothing_new(self, stream):
         framework = MintFramework(deployment=Deployment.single(network=CHAOS_WIRE))
         sub = framework.subscribe(QuerySpec.where(error_only=True))
-        last = _drive(framework, stream)
+        drive(framework, stream)
         hits = sub.hit_ids
         delivered = framework.live_stats()["delivered"]
-        framework.finalize(last)
+        framework.finalize(stream[-1][0])
         assert sub.hit_ids == hits
         assert framework.live_stats()["delivered"] == delivered
         framework.close()
@@ -186,7 +177,7 @@ class TestSubscriptionsSurviveElasticity:
         for now, trace in stream[:half]:
             framework.process_trace(trace, now)
         framework.reshard()
-        _drive(framework, stream[half:])
+        drive(framework, stream[half:])
         assert framework.backend.num_shards == 4
         assert sub.hit_statuses == _batch_hits(framework, sub.spec)
         assert sub.hit_ids
@@ -199,7 +190,7 @@ class TestSubscriptionsSurviveElasticity:
             deployment=Deployment.elastic_sharded(2, shard_chaos=chaos)
         )
         sub = framework.subscribe(QuerySpec.where(error_only=True))
-        _drive(framework, stream)
+        drive(framework, stream)
         assert sub.hit_statuses == _batch_hits(framework, sub.spec)
         assert sub.hit_ids
         framework.close()
@@ -218,7 +209,7 @@ class TestPushMeterSeparation:
                 framework.subscribe(QuerySpec.where(error_only=True))
                 if subscribe else None
             )
-            _drive(framework, stream)
+            drive(framework, stream)
             facts = (
                 framework.network_bytes,
                 framework.ledger.network.per_minute_series(),
@@ -242,7 +233,7 @@ class TestPushMeterSeparation:
                 deployment=Deployment.single(network=CHAOS_WIRE, observability=obs)
             )
             sub = framework.subscribe(QuerySpec.where(error_only=True))
-            _drive(framework, stream)
+            drive(framework, stream)
             facts = (sub.hit_statuses, framework.live_stats()["delivered"])
             framework.close()
             return facts
@@ -252,7 +243,7 @@ class TestPushMeterSeparation:
     def test_push_counters_reach_the_metrics_registry(self, stream):
         framework = MintFramework(deployment=Deployment.single())
         framework.subscribe(QuerySpec.where(error_only=True))
-        _drive(framework, stream)
+        drive(framework, stream)
         report = framework.obs_report()
         delivered = framework.live_stats()["delivered"]
         assert delivered > 0

@@ -17,7 +17,7 @@ from repro.agent.collector import MintCollector
 from repro.agent.config import MintConfig
 from repro.agent.reports import BloomReport, ParamsReport
 from repro.backend.backend import MintBackend
-from repro.baselines import MintFramework
+from repro.framework import MintFramework
 from repro.model.trace import SubTrace
 from repro.net import (
     CHAOS_PROFILES,

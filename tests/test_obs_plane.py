@@ -3,7 +3,7 @@ codepath, thread safety, export surfaces, and the two contracts the
 plane lives or dies by — observation changes nothing it observes, and
 two identical seeded runs report identically (sim domain).
 
-The obs bench (``benchmarks/perf/run_obs_bench.py``) gates the same
+The obs bench (``benchmarks/perf/run.py obs``) gates the same
 contracts end to end at full scale; these tests pin them per component
 and at smoke scale so a violation names its seam.
 """
@@ -32,6 +32,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import SIM_DOMAIN, WALL_DOMAIN
 from repro.obs.trace import NULL_INSTRUMENT
+from repro.sim.experiment import drive as sim_drive
 from repro.sim.incident import incident_deployment, run_incident
 from repro.transport import Deployment
 from repro.workloads.generator import WorkloadDriver
@@ -44,11 +45,7 @@ def build_stream(workload, count: int, seed: int = 7):
 
 def drive(deployment: Deployment, stream) -> MintFramework:
     framework = MintFramework(deployment=deployment)
-    last_now = 0.0
-    for now, trace in stream:
-        framework.process_trace(trace, now)
-        last_now = now
-    framework.finalize(last_now)
+    sim_drive(framework, stream)
     return framework
 
 

@@ -4,19 +4,17 @@ Pins the PR 5 contracts: the str-compatible :class:`QueryStatus` enum,
 spec validation and grammar, bit-identity of planned lookups with the
 reference querier on every topology, batch amortisation statistics
 (Bloom pre-screen pushdown, repeated-id memoisation), predicate
-queries, the lazy cursor, the engine protocol across Mint and the
-baselines, and the ``MintFramework`` relocation shim.
+queries, the lazy cursor, and the engine protocol across Mint and the
+baselines.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
 from repro.baselines import OTFull, OTHead
-from repro.baselines.base import FrameworkQueryResult
 from repro.framework import MintFramework
 from repro.query import (
     QueryCursor,
@@ -92,12 +90,6 @@ class TestQueryResultModel:
     def test_unknown_status_rejected(self):
         with pytest.raises(ValueError):
             QueryResult(trace_id="t", status="fuzzy")
-
-    def test_framework_query_result_absorbed(self):
-        # The baselines' parallel wrapper is the same class now.
-        assert FrameworkQueryResult is QueryResult
-        legacy = FrameworkQueryResult(trace_id="t", status="miss")
-        assert legacy.is_miss and legacy.span_count == 0
 
 
 class TestQuerySpec:
@@ -388,34 +380,3 @@ class TestWorkloadSpecs:
         results = frameworks["sharded"].execute(spec).all()
         assert results
         assert {r.trace_id for r in results} <= set(spec.trace_ids)
-
-
-class TestFrameworkRelocation:
-    def test_old_import_path_warns_and_resolves(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.baselines.mint_framework", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = importlib.import_module("repro.baselines.mint_framework")
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert module.MintFramework is MintFramework
-
-    def test_lazy_baselines_reexport(self):
-        import repro.baselines as baselines
-
-        assert baselines.MintFramework is MintFramework
-        with pytest.raises(AttributeError):
-            baselines.NoSuchFramework
-
-    def test_query_full_is_query(self, driven):
-        stream, _, frameworks = driven
-        mint = frameworks["single"]
-        tid = stream[0][1].trace_id
-        full = mint.query_full(tid)
-        plain = mint.query(tid)
-        assert full.status is plain.status
-        assert full.trace == plain.trace

@@ -159,7 +159,7 @@ class TestApproximateViews:
         mint.finalize(100.0)
         approx_views = []
         for trace in traces:
-            result = mint.query_full(trace.trace_id)
+            result = mint.query(trace.trace_id)
             if result.status == "partial":
                 approx_views.append(view_from_approximate(result.approximate))
         assert approx_views, "expected some unsampled traces"

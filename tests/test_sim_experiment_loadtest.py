@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.baselines import MintFramework, OTFull, OTHead
+from repro.baselines import OTFull, OTHead
+from repro.framework import MintFramework
 from repro.net import CHAOS_PROFILES
 from repro.sim.experiment import (
     FrameworkRun,

@@ -16,7 +16,7 @@ from repro.agent.collector import MintCollector
 from repro.agent.reports import ParamsReport
 from repro.backend.backend import MintBackend
 from repro.backend.sharded import ShardedBackend
-from repro.baselines import MintFramework
+from repro.framework import MintFramework
 from repro.sim.meters import OverheadLedger
 from repro.transport import (
     NOTIFY_MESSAGE_BYTES,
@@ -190,7 +190,7 @@ class TestBackendPlaneContract:
             assert method not in ShardedBackend.__dict__, method
 
     def test_framework_has_no_sharded_subclass_overrides(self):
-        import repro.baselines.mint_framework as mod
+        import repro.framework as mod
 
         assert not hasattr(mod, "ShardedMintFramework")
         for method in ("_transport", "_charge_notify", "_sync_storage_meter"):
