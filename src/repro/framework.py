@@ -180,17 +180,16 @@ class MintFramework(TracingFramework):
         attribute parsers from its local sample.  Warm-up happens before
         any metering — the paper treats it as an offline bootstrap.
         """
-        if self._plane is not None:
-            self._plane.warm_up(traces)
-            self._warmed_up = True
-            return
-        per_node: dict[str, list[Span]] = {}
-        for trace in traces:
-            for span in trace.spans:
-                per_node.setdefault(span.node, []).append(span)
-        for node, spans in per_node.items():
-            collector = self._collector_for(node)
-            collector.agent.warm_up(spans)
+        with self.observer.span("warm_up"):
+            if self._plane is not None:
+                self._plane.warm_up(traces)
+            else:
+                per_node: dict[str, list[Span]] = {}
+                for trace in traces:
+                    for span in trace.spans:
+                        per_node.setdefault(span.node, []).append(span)
+                for node, spans in per_node.items():
+                    self._collector_for(node).agent.warm_up(spans)
         self._warmed_up = True
 
     # ------------------------------------------------------------------

@@ -38,9 +38,9 @@ from repro.obs.metrics import (
 )
 
 #: Every stage histogram shares this name; the ``stage`` label names
-#: the seam (parse, transport_deliver, net_queue_wait, epoch_barrier,
-#: query_plan, query_reconstruct, cold_decode, cold_promote,
-#: supervisor_park_replay).
+#: the seam (warm_up, parse, transport_deliver, net_queue_wait,
+#: epoch_barrier, query_plan, query_reconstruct, cold_decode,
+#: cold_promote, supervisor_park_replay).
 STAGE_METRIC = "mint_stage_seconds"
 
 

@@ -15,6 +15,7 @@ one.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, NamedTuple, Union
 
 from repro.parsing.clustering import StringCluster, cluster_strings
@@ -61,7 +62,8 @@ class StringAttributeParser:
         self.key = key
         self.similarity_threshold = similarity_threshold
         self._tree = TemplatePrefixTree()
-        self._representatives: dict[StringTemplate, list[str]] = {}
+        # template -> {member value: its word tokens}, in arrival order.
+        self._representatives: dict[StringTemplate, dict[str, list[str]]] = {}
         # Exact value -> (parsed result, template).  Caching the parsed
         # result (not just the template) lets repeated values skip the
         # regex extraction entirely; the ParsedAttribute is immutable
@@ -255,17 +257,16 @@ class StringAttributeParser:
         best_template: StringTemplate | None = None
         best_score = -1.0
         for template, reps in self._representatives.items():
-            for rep in reps:
-                score = token_similarity(words, word_tokens(tokenize(rep)))
+            for rep_words in reps.values():
+                score = token_similarity(words, rep_words)
                 if score > best_score:
                     best_score = score
                     best_template = template
         if best_template is not None and best_score >= self.similarity_threshold:
-            members = list(self._representatives[best_template]) + [value]
-            cluster = StringCluster(representative_tokens=tokenize(members[0]))
-            for member in members:
-                cluster.add(member, tokenize(member))
-            widened = extract_template(cluster)
+            reps = self._representatives[best_template]
+            members = [*reps, value]
+            member_tokens = [*map(tokenize, reps), tokens]
+            widened = extract_template(StringCluster(reps[members[0]], members, member_tokens))
             self._replace(best_template, widened, members)
             return widened
         literal = StringTemplate(tokens=tuple(tokens))
@@ -274,19 +275,21 @@ class StringAttributeParser:
 
     def _register(self, template: StringTemplate, members: list[str]) -> None:
         self._tree.insert(template)
-        reps = self._representatives.setdefault(template, [])
+        self._remember(template, members)
+
+    def _remember(self, template: StringTemplate, members: list[str]) -> None:
+        reps = self._representatives.setdefault(template, {})
         for member in members:
             if member not in reps and len(reps) < _REPRESENTATIVES_PER_TEMPLATE:
-                reps.append(member)
+                # Interned: representatives of one key share a small
+                # vocabulary, so kept word lists cost pointers, not strings.
+                reps[member] = [*map(sys.intern, word_tokens(tokenize(member)))]
 
     def _replace(
         self, old: StringTemplate, new: StringTemplate, members: list[str]
     ) -> None:
         if new == old:
-            reps = self._representatives.setdefault(old, [])
-            for member in members:
-                if member not in reps and len(reps) < _REPRESENTATIVES_PER_TEMPLATE:
-                    reps.append(member)
+            self._remember(old, members)
             return
         # The old template stays in the tree (other stored spans may
         # reference its text); the new, wider one is added alongside.

@@ -24,7 +24,9 @@ from repro.parsing.tokenizer import tokenize, word_tokens
 class StringCluster:
     """A group of mutually similar attribute values."""
 
-    representative_tokens: list[str]
+    # Word tokens of the founding value: what every later value is
+    # compared against, so they are derived once, at founding.
+    representative_words: list[str]
     members: list[str] = field(default_factory=list)
     member_tokens: list[list[str]] = field(default_factory=list)
 
@@ -68,7 +70,7 @@ def cluster_strings(
         best_index = -1
         best_score = -1.0
         for index, cluster in enumerate(clusters):
-            score = token_similarity(words, word_tokens(cluster.representative_tokens))
+            score = token_similarity(words, cluster.representative_words)
             if score > best_score:
                 best_score = score
                 best_index = index
@@ -81,7 +83,7 @@ def cluster_strings(
         if joined or (at_cap and best_index >= 0):
             clusters[best_index].add(value, tokens)
         else:
-            cluster = StringCluster(representative_tokens=tokens)
+            cluster = StringCluster(representative_words=words)
             cluster.add(value, tokens)
             clusters.append(cluster)
     return clusters

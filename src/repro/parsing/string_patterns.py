@@ -172,9 +172,10 @@ def extract_template(cluster: StringCluster) -> StringTemplate:
         raise ValueError("cannot extract a template from an empty cluster")
     # The common part converges after a handful of members; folding the
     # LCS over every member of a large cluster is O(members * n^2) for
-    # no additional precision.  A stratified sample (first, last, and a
-    # spread in between) is folded instead, and the full membership is
-    # still used for gap detection and the final match check below.
+    # no additional precision.  An evenly strided sample (the first
+    # member, then every len/limit-th; the last is not included) is
+    # folded instead, and the full membership is still used for gap
+    # detection and the final match check below.
     sample = _member_sample(cluster.member_tokens, limit=12)
     common: list[str] = list(sample[0])
     for tokens in sample[1:]:
@@ -205,7 +206,7 @@ def extract_template(cluster: StringCluster) -> StringTemplate:
 
 
 def _member_sample(members: list[list[str]], limit: int) -> list[list[str]]:
-    """A deterministic spread of at most ``limit`` members."""
+    """At most ``limit`` members at an even stride, starting at the first."""
     if len(members) <= limit:
         return members
     step = len(members) / limit

@@ -264,6 +264,10 @@ class TestFrameworkContracts:
         assert report["ledger"]["storage_bytes"] == framework.storage_bytes
         counters = report["metrics"]["counters"]
         assert counters['mint_ingest_traces{plane="ingest"}'] == len(stream)
+        # Offline warm-up is a stage of its own: one wall-domain span.
+        warm_up = report["metrics"]["histograms"]['mint_stage_seconds{stage="warm_up"}']
+        assert (warm_up["count"], warm_up["domain"]) == (1, "wall")
+        assert warm_up["sum"] > 0.0
         # The folded-in query totals count the plans the plane ran.
         assert report["query"]["candidates"] == 0  # no queries yet
         framework.close()
