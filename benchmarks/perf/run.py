@@ -10,7 +10,12 @@ Usage (from the repo root)::
 A suite is one sibling module exposing ``DEFAULTS`` (its defaults for
 the shared flags it reads — a shared flag it does not list is not
 offered), ``FLAGS`` (its own flags, as argparse keyword dicts),
-``measure(args) -> report`` and ``check(report, args) -> violations``.
+``measure(args) -> report`` and ``check(report, args) -> violations``,
+and optionally ``WALL_CLOCK`` — the report sections that hold
+wall-clock numbers.  Those are gated and written to an explicit
+``--output`` (the CI artifact) but left out of the default one, the
+committed ``BENCH_<suite>.json`` (as is the environment block), which
+then only moves when behaviour does.
 Everything else lives here once: the shared flags, the ``config`` block
 with the environment the numbers were taken in, the JSON write to
 ``--output`` (default ``BENCH_<suite>.json`` next to this file), the
@@ -97,11 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--check", action="store_true", help="exit 1 when any of the suite's gates fails"
         )
-        sub.add_argument(
-            "--output",
-            default=os.path.join(os.path.dirname(os.path.abspath(__file__)), f"BENCH_{name}.json"),
-        )
+        sub.add_argument("--output", default=committed_path(name))
     return parser
+
+
+def committed_path(suite: str) -> str:
+    """Where a suite's committed report lives (the default ``--output``)."""
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), f"BENCH_{suite}.json")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,6 +125,11 @@ def main(argv: list[str] | None = None) -> int:
         "config": {**config, **environment()},
     }
     failures = suite.check(report, args) if args.check else []
+    if hasattr(suite, "WALL_CLOCK") and os.path.abspath(args.output) == committed_path(args.suite):
+        # Nothing machine-bound: no wall-clock sections, no environment.
+        for section in suite.WALL_CLOCK:
+            del report[section]
+        report["config"] = config
 
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -11,6 +11,7 @@ patterns to reconstruct the original spans.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 from repro.backend.storage import StorageEngine
@@ -81,21 +82,29 @@ class Querier:
         by_pattern: dict[str, list[str]] = {}
         for stored in matches:
             by_pattern.setdefault(stored.topo_pattern_id, []).append(stored.node)
+        renders = self.storage.segment_renders
         segments: list[ApproximateSegment] = []
         for pattern_id, nodes in sorted(by_pattern.items()):
-            pattern = self.storage.topo_patterns.get(pattern_id)
-            if pattern is None:
-                continue
-            segments.append(self._render_segment(pattern, sorted(set(nodes))))
+            render = renders.get(pattern_id)
+            if render is None:
+                pattern = self.storage.topo_patterns.get(pattern_id)
+                if pattern is None:
+                    continue
+                render = renders[pattern_id] = self._render_segment(pattern)
+            segments.append(ApproximateSegment(pattern_id, sorted(set(nodes)), *render))
         if not segments:
             return None
         segments = _drop_unconnected_false_positives(segments)
         ordered = _stitch_segments(segments)
         return ApproximateTrace(trace_id=trace_id, segments=ordered)
 
-    def _render_segment(
-        self, pattern: TopoPattern, nodes: list[str]
-    ) -> ApproximateSegment:
+    def _render_segment(self, pattern: TopoPattern) -> tuple[list, list, list]:
+        """The pattern-only part of a segment: ``(spans, entry_ops,
+        exit_ops)``, a pure function of the topo pattern, its span
+        patterns and their numeric ranges.  Memoised in
+        ``storage.segment_renders`` and *shared* by every result
+        showing the pattern (results are read-only); only
+        ``nodes_reporting`` is per query."""
         spans: list[dict[str, Any]] = []
 
         def visit(node: TopoNode, depth: int) -> None:
@@ -110,13 +119,8 @@ class Querier:
 
         for root in pattern.roots:
             visit(root, 0)
-        return ApproximateSegment(
-            topo_pattern_id=pattern.pattern_id,
-            nodes_reporting=nodes,
-            spans=spans,
-            entry_ops=[tuple(op) for op in pattern.entry_ops],
-            exit_ops=[tuple(op) for op in pattern.exit_ops],
-        )
+        entry_ops = [tuple(op) for op in pattern.entry_ops]
+        return spans, entry_ops, [tuple(op) for op in pattern.exit_ops]
 
 
 def _drop_unconnected_false_positives(
@@ -133,17 +137,26 @@ def _drop_unconnected_false_positives(
     """
     if len(segments) <= 1:
         return segments
+    entry_index = _entry_index(segments)
     connected: set[int] = set()
-    for i, a in enumerate(segments):
-        for j, b in enumerate(segments):
-            if i == j:
-                continue
-            if set(a.exit_ops) & set(b.entry_ops):
-                connected.add(i)
-                connected.add(j)
+    for i, seg in enumerate(segments):
+        for op in seg.exit_ops:
+            for j in entry_index.get(op, ()):
+                if j != i:
+                    connected.add(i)
+                    connected.add(j)
     if len(connected) < 2:
         return segments
     return [seg for i, seg in enumerate(segments) if i in connected]
+
+
+def _entry_index(segments: list[ApproximateSegment]) -> dict[tuple[str, str], list[int]]:
+    """Entry operation -> positions of the segments it enters."""
+    entry_index: dict[tuple[str, str], list[int]] = {}
+    for i, seg in enumerate(segments):
+        for op in seg.entry_ops:
+            entry_index.setdefault(op, []).append(i)
+    return entry_index
 
 
 def _stitch_segments(segments: list[ApproximateSegment]) -> list[ApproximateSegment]:
@@ -156,23 +169,20 @@ def _stitch_segments(segments: list[ApproximateSegment]) -> list[ApproximateSegm
     """
     if len(segments) <= 1:
         return segments
-    entry_index: dict[tuple[str, str], list[int]] = {}
-    for i, seg in enumerate(segments):
-        for op in seg.entry_ops:
-            entry_index.setdefault(op, []).append(i)
+    entry_index = _entry_index(segments)
     successors: dict[int, set[int]] = {i: set() for i in range(len(segments))}
     indegree = [0] * len(segments)
     for i, seg in enumerate(segments):
         for op in seg.exit_ops:
-            for j in entry_index.get(op, []):
+            for j in entry_index.get(op, ()):
                 if j != i and j not in successors[i]:
                     successors[i].add(j)
                     indegree[j] += 1
     ordered: list[int] = []
-    ready = sorted(i for i in range(len(segments)) if indegree[i] == 0)
+    ready = deque(i for i in range(len(segments)) if indegree[i] == 0)
     visited: set[int] = set()
     while ready:
-        current = ready.pop(0)
+        current = ready.popleft()
         if current in visited:
             continue
         visited.add(current)

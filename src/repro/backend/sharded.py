@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.agent.reports import BloomReport, PatternLibraryReport, Report
 from repro.backend.querier import Querier, QueryResult
 from repro.backend.storage import StorageEngine, StoredBloom
-from repro.bloom.bloom_filter import BloomFilter
+from repro.bloom.bloom_filter import BloomFilter, _digest_pair
 from repro.model.encoding import encoded_size
 from repro.parsing.span_parser import SpanPattern
 from repro.parsing.trace_parser import TopoPattern
@@ -233,6 +233,8 @@ class MergedStorageView:
         self._prescreen_saturated: set[str] = set()
         self._extra_sampled: set[str] = set()
         self.sampled_trace_ids = _MergedSampledIds(shards, self._extra_sampled)
+        self._segment_renders: dict[str, Any] = {}
+        self._render_token: tuple = ()  # what the memo was filled under
 
     # ------------------------------------------------------------------
     # Incremental merge state (fed by ShardedBackend.receive)
@@ -304,7 +306,9 @@ class MergedStorageView:
     # ------------------------------------------------------------------
     # StorageEngine-shaped lookups
     # ------------------------------------------------------------------
-    def prescreen_candidates(self, trace_id: str) -> set[str]:
+    def prescreen_candidates(
+        self, trace_id: str, digest: tuple[int, int] | None = None
+    ) -> set[str]:
         """Topo patterns the merged OR index cannot rule out for a trace.
 
         The public face of the negative pre-screen: patterns whose
@@ -312,11 +316,14 @@ class MergedStorageView:
         candidates, the rest are candidates only when some merged
         accumulator (any geometry) reports the trace.  The query
         planner pushes this down per batch — a pattern absent here
-        needs no probing on any shard.
+        needs no probing on any shard.  ``digest`` is the caller's
+        ``_digest_pair(trace_id)`` when it goes on to probe the shards
+        with it (one digest per lookup).
         """
+        h1, h2 = digest or _digest_pair(trace_id)
         candidates: set[str] = set(self._prescreen_saturated)
         for pattern_id, groups in self._merged_blooms.items():
-            if any(trace_id in merged for merged in groups.values()):
+            if any(merged.contains_hashed(h1, h2) for merged in groups.values()):
                 candidates.add(pattern_id)
         return candidates
 
@@ -330,15 +337,32 @@ class MergedStorageView:
         out of the index) are confirmed filter by filter, so the result
         set is exactly the single backend's.
         """
-        candidates = self.prescreen_candidates(trace_id)
+        digest = h1, h2 = _digest_pair(trace_id)
+        candidates = self.prescreen_candidates(trace_id, digest)
         if not candidates:
             return []
         return [
             stored
             for shard in self.shards
             for stored in shard.blooms
-            if stored.topo_pattern_id in candidates and trace_id in stored.filter
+            if stored.topo_pattern_id in candidates
+            and stored.filter.contains_hashed(h1, h2)
         ]
+
+    @property
+    def segment_renders(self) -> dict[str, Any]:
+        """The querier's render memo, valid for the current patterns.
+
+        Renders resolve through the fan-out over *reachable* shards, so
+        the memo is dropped when any of them stored a pattern change or
+        the reachable set moved — an outage render never serves a
+        healthy read, nor the reverse.
+        """
+        token = tuple((id(shard), shard.pattern_version) for shard in self.shards)
+        if token != self._render_token:
+            self._render_token = token
+            self._segment_renders = {}
+        return self._segment_renders
 
     def has_params(self, trace_id: str) -> bool:
         """True when some shard holds the trace's exact parameters."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.agent.reports import BloomReport, ParamsReport, PatternLibraryReport
-from repro.bloom.bloom_filter import BloomFilter, sized_for_bytes
+from repro.bloom.bloom_filter import BloomFilter, _digest_pair, sized_for_bytes
 from repro.cold.blocks import (
     BLOOM_KIND,
     PARAMS_KIND,
@@ -50,9 +50,16 @@ class StorageEngine:
     def __init__(self, bloom_buffer_bytes: int = 4096, bloom_fpp: float = 0.01) -> None:
         self.bloom_buffer_bytes = bloom_buffer_bytes
         self.bloom_fpp = bloom_fpp
+        # Every reported filter has the agents' geometry: derived once.
+        self._bloom_capacity = sized_for_bytes(bloom_buffer_bytes, bloom_fpp).expected_insertions
         self.span_patterns: dict[str, SpanPattern] = {}
         self.numeric_ranges: dict[str, dict[str, tuple[float, float]]] = {}
         self.topo_patterns: dict[str, TopoPattern] = {}
+        # Bumped whenever store_pattern_report — the one mutation site of
+        # the three dicts above — changes any of them; approximate-segment
+        # renders (a pure function of them) are memoised until it moves.
+        self.pattern_version = 0
+        self.segment_renders: dict[str, Any] = {}
         self.cold = ColdTier()
         self.blooms: TieredBlooms = TieredBlooms(self.cold)
         # trace_id -> compact param records (see ParsedSpan.compact_record)
@@ -67,36 +74,39 @@ class StorageEngine:
     # ------------------------------------------------------------------
     def store_pattern_report(self, report: PatternLibraryReport) -> None:
         """Merge a pattern library report; duplicate ids cost nothing."""
+        changed = False
         for data in report.span_patterns:
             pattern = SpanPattern.from_dict(data)
             if pattern.pattern_id not in self.span_patterns:
                 self.span_patterns[pattern.pattern_id] = pattern
                 self._pattern_bytes += encoded_size(data)
+                changed = True
             reported_ranges = data.get("numeric_ranges", {})
             if reported_ranges:
                 merged = self.numeric_ranges.setdefault(pattern.pattern_id, {})
                 for key, bounds in reported_ranges.items():
                     lower, upper = float(bounds[0]), float(bounds[1])
                     current = merged.get(key)
-                    if current is None:
+                    if current is not None:
+                        lower, upper = min(current[0], lower), max(current[1], upper)
+                    if current != (lower, upper):
                         merged[key] = (lower, upper)
-                    else:
-                        merged[key] = (
-                            min(current[0], lower),
-                            max(current[1], upper),
-                        )
+                        changed = True
         for data in report.topo_patterns:
             pattern = TopoPattern.from_dict(data)
             if pattern.pattern_id not in self.topo_patterns:
                 self.topo_patterns[pattern.pattern_id] = pattern
                 self._pattern_bytes += encoded_size(data)
+                changed = True
+        if changed:
+            self.pattern_version += 1
+            self.segment_renders = {}
 
     def store_bloom_report(self, report: BloomReport) -> None:
         """Index a flushed Bloom filter under its topo pattern."""
-        reference = sized_for_bytes(self.bloom_buffer_bytes, self.bloom_fpp)
         filt = BloomFilter.from_bytes(
             report.payload,
-            expected_insertions=reference.expected_insertions,
+            expected_insertions=self._bloom_capacity,
             false_positive_probability=self.bloom_fpp,
             inserted=report.inserted,
         )
@@ -232,7 +242,8 @@ class StorageEngine:
     # ------------------------------------------------------------------
     def patterns_matching_trace(self, trace_id: str) -> list[StoredBloom]:
         """All stored Bloom filters that (probably) contain ``trace_id``."""
-        return [b for b in self.blooms if trace_id in b.filter]
+        h1, h2 = _digest_pair(trace_id)
+        return [b for b in self.blooms if b.filter.contains_hashed(h1, h2)]
 
     def has_params(self, trace_id: str) -> bool:
         """True when the exact parameters of the trace are stored.

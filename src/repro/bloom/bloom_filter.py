@@ -70,12 +70,16 @@ class BloomFilter:
         expected_insertions: int = 1000,
         false_positive_probability: float = 0.01,
     ) -> None:
+        self._bits = bytearray(self._size(expected_insertions, false_positive_probability))
+        self._inserted = 0
+
+    def _size(self, expected_insertions: int, false_positive_probability: float) -> int:
+        """Set the geometry from ``(n, p)``; returns the bit array's byte length."""
         self.expected_insertions = expected_insertions
         self.false_positive_probability = false_positive_probability
         self.bit_count = optimal_bit_count(expected_insertions, false_positive_probability)
         self.hash_count = optimal_hash_count(self.bit_count, expected_insertions)
-        self._bits = bytearray((self.bit_count + 7) // 8)
-        self._inserted = 0
+        return (self.bit_count + 7) // 8
 
     def __len__(self) -> int:
         return self._inserted
@@ -101,7 +105,12 @@ class BloomFilter:
         self._inserted += 1
 
     def __contains__(self, item: str) -> bool:
-        h1, h2 = _digest_pair(item)
+        return self.contains_hashed(*_digest_pair(item))
+
+    def contains_hashed(self, h1: int, h2: int) -> bool:
+        """``item in self``, given ``_digest_pair(item)``: probe positions
+        are ``h1 + i * h2 mod m`` and only ``m`` is the filter's own, so a
+        lookup that scans many filters takes the digest once."""
         bits = self._bits
         masks = _BIT_MASKS
         m = self.bit_count
@@ -159,11 +168,10 @@ class BloomFilter:
         inserted: int = 0,
     ) -> "BloomFilter":
         """Rebuild a reported filter on the backend."""
-        filt = cls(expected_insertions, false_positive_probability)
-        if len(payload) != len(filt._bits):
-            raise ValueError(
-                f"payload is {len(payload)} bytes, expected {len(filt._bits)}"
-            )
+        filt = cls.__new__(cls)
+        byte_count = filt._size(expected_insertions, false_positive_probability)
+        if len(payload) != byte_count:
+            raise ValueError(f"payload is {len(payload)} bytes, expected {byte_count}")
         filt._bits = bytearray(payload)
         filt._inserted = inserted
         return filt

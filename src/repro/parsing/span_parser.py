@@ -101,6 +101,17 @@ class SpanPattern:
         digest = hashlib.sha1(repr(self).encode("utf-8")).hexdigest()
         return digest[:16]
 
+    @cached_property
+    def reconstruction_plan(self) -> tuple[tuple, SpanKind, SpanStatus]:
+        """What exact reconstruction needs of this pattern, resolved once
+        per pattern instead of once per span: each attribute key with
+        its template (``None`` for numerics), and the kind/status enums."""
+        templates = tuple(
+            (key, template_from_text(text) if kind == "string" else None)
+            for key, kind, text in self.attributes
+        )
+        return templates, SpanKind(self.kind), SpanStatus(self.status)
+
     def to_dict(self) -> dict[str, Any]:
         """Serialisable form, used for upload size accounting."""
         return {
@@ -877,12 +888,13 @@ def reconstruct_exact_span(pattern: SpanPattern, parsed: ParsedSpan) -> Span:
     Inverse of :meth:`SpanParser.parse`: operates on pattern text alone
     so the backend does not need parser state.
     """
+    templates, kind, status = pattern.reconstruction_plan
+    params = parsed.params
     attributes: dict[str, Any] = {}
     duration = 0.0
-    for key, kind, pattern_text in pattern.attributes:
-        param = parsed.params[key]
-        if kind == "string":
-            template = template_from_text(pattern_text)
+    for key, template in templates:
+        param = params[key]
+        if template is not None:
             if not isinstance(param, list):
                 raise TypeError(f"string attribute {key!r} carries {type(param)}")
             value: Any = template.reconstruct(param)
@@ -900,10 +912,10 @@ def reconstruct_exact_span(pattern: SpanPattern, parsed: ParsedSpan) -> Span:
         parent_id=parsed.parent_id,
         name=pattern.name,
         service=pattern.service,
-        kind=SpanKind(pattern.kind),
+        kind=kind,
         start_time=parsed.start_time,
         duration=duration,
-        status=SpanStatus(pattern.status),
+        status=status,
         node=parsed.node,
         attributes=attributes,
     )

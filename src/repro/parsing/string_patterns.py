@@ -34,11 +34,18 @@ class StringTemplate:
     def __post_init__(self) -> None:
         # Collapse runs of consecutive wildcards: `<*><*>` matches the
         # same language as `<*>` but would create ambiguous parameter
-        # splits during extraction.
+        # splits during extraction.  The literal runs between wildcards
+        # are fixed from here on: reconstruction fills the odd slots of
+        # these ``2 * wildcard_count + 1`` pieces and joins.
         collapsed: list[str] = []
+        pieces: list[str] = [""]
         for token in self.tokens:
-            if token == WILDCARD and collapsed and collapsed[-1] == WILDCARD:
+            if token != WILDCARD:
+                pieces[-1] += token
+            elif collapsed and collapsed[-1] == WILDCARD:
                 continue
+            else:
+                pieces += (WILDCARD, "")
             collapsed.append(token)
         tokens = tuple(collapsed)
         object.__setattr__(self, "tokens", tokens)
@@ -51,6 +58,7 @@ class StringTemplate:
         object.__setattr__(self, "literal_token_count", len(tokens) - wildcards)
         object.__setattr__(self, "text", detokenize(list(tokens)))
         object.__setattr__(self, "_hash", hash(tokens))
+        object.__setattr__(self, "_pieces", tuple(pieces))
 
     def __hash__(self) -> int:
         return self._hash
@@ -106,13 +114,8 @@ class StringTemplate:
                 f"template has {self.wildcard_count} wildcards, "
                 f"got {len(params)} parameters"
             )
-        out: list[str] = []
-        param_iter = iter(params)
-        for token in self.tokens:
-            if token == WILDCARD:
-                out.append(next(param_iter))
-            else:
-                out.append(token)
+        out = list(self._pieces)
+        out[1::2] = params
         return "".join(out)
 
     def masked(self) -> str:
@@ -128,11 +131,11 @@ def template_from_text(text: str) -> StringTemplate:
     wildcard abuts a word with no delimiter (``exec<*>``), the combined
     token is split back apart so wildcard counts round-trip exactly.
 
-    Pure text -> immutable template, so the result is memoised: exact
-    reconstruction calls this once per pattern attribute per *query*,
-    and the tokenise + regex-compile round-trip dominated the query
-    hot path before the cache (the distinct-template population is the
-    pattern library's, i.e. small and convergent).
+    Pure text -> immutable template, so the result is memoised (the
+    distinct-template population is the pattern library's, i.e. small
+    and convergent).  Exact reconstruction resolves it once per span
+    pattern attribute (``SpanPattern``'s reconstruction plan), not per
+    span or per query.
     """
     from repro.parsing.tokenizer import tokenize
 

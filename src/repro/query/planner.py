@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
+from repro.bloom.bloom_filter import _digest_pair
 from repro.query.result import QueryResult, QueryStatus
 from repro.query.spec import QuerySpec, matches_result
 
@@ -94,8 +95,10 @@ class _PlannedView:
         self._prescreen = getattr(storage, "prescreen_candidates", None)
 
     def patterns_matching_trace(self, trace_id: str) -> list["StoredBloom"]:
+        # One digest serves the pre-screen and every shard's filters.
+        digest = h1, h2 = _digest_pair(trace_id)
         if self._prescreen is not None:
-            candidates = self._prescreen(trace_id)
+            candidates = self._prescreen(trace_id, digest)
         else:
             candidates = self._index.keys()
         matched: list["StoredBloom"] = []
@@ -103,7 +106,7 @@ class _PlannedView:
         for pattern_id in candidates:
             for stored in self._index.get(pattern_id, ()):
                 probed += 1
-                if trace_id in stored.filter:
+                if stored.filter.contains_hashed(h1, h2):
                     matched.append(stored)
         self.stats.filters_probed += probed
         self.stats.filters_pruned += self._total_filters - probed
@@ -113,7 +116,8 @@ class _PlannedView:
         """Confirmed membership of a trace in one topo pattern."""
         group = self._index.get(pattern_id, ())
         self.stats.filters_probed += len(group)
-        return any(trace_id in stored.filter for stored in group)
+        h1, h2 = _digest_pair(trace_id)
+        return any(stored.filter.contains_hashed(h1, h2) for stored in group)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._storage, name)

@@ -46,7 +46,11 @@ class QueryStatus(str, enum.Enum):
 
 @dataclass
 class ApproximateSegment:
-    """One sub-trace rendered from its topo pattern (variables masked)."""
+    """One sub-trace rendered from its topo pattern (variables masked).
+
+    Read-only: ``spans`` / ``entry_ops`` / ``exit_ops`` are the store's
+    memoised render of the pattern, shared by every result showing it;
+    only ``nodes_reporting`` belongs to this result."""
 
     topo_pattern_id: str
     nodes_reporting: list[str]

@@ -109,6 +109,32 @@ def test_check_and_exit_code_follow_the_report(runner, suite, tmp_path, monkeypa
     assert runner.main([arg for arg in argv if arg != "--check"]) == 0
 
 
+def test_wall_clock_sections_stay_out_of_the_committed_report(
+    runner, tmp_path, monkeypatch, capsys
+):
+    module = runner.SUITES["query"]
+    assert module.WALL_CLOCK == ("timing",)
+    body = committed_body("query")
+    assert "timing" not in body and body["workloads"]
+    slow = {
+        workload: {deployment: {"batch_speedup": 0.5} for deployment in cells}
+        for workload, cells in body["workloads"].items()
+    }
+    monkeypatch.setattr(module, "measure", lambda args: {**copy.deepcopy(body), "timing": slow})
+    # An explicit --output (the CI artifact) keeps the section, and the gate reads it.
+    explicit = tmp_path / "artifact.json"
+    assert runner.main(["query", "--check", "--output", str(explicit)]) == 1
+    assert "batch speedup 0.50x" in capsys.readouterr().err
+    assert json.loads(explicit.read_text())["timing"] == slow
+    # The default --output is the committed report: same run, section left out.
+    redirected = str(tmp_path / "BENCH_query.json")
+    monkeypatch.setattr(runner, "committed_path", lambda suite: redirected)
+    assert runner.main(["query"]) == 0
+    written = json.loads(Path(redirected).read_text())
+    assert "timing" not in written and written["workloads"] == body["workloads"]
+    assert not set(runner.environment()) & set(written["config"])
+
+
 def test_real_tiny_run_writes_the_shared_environment_block(tmp_path):
     output = tmp_path / "BENCH_sharded.json"
     done = subprocess.run(

@@ -1,0 +1,337 @@
+"""Contracts of the read-path kernels and of the segment-render memo.
+
+* ``StringTemplate.reconstruct`` (one interleaving join) ≡ the token
+  walk in ``tests/reference_read_path.py``.
+* ``BloomFilter.contains_hashed(*_digest_pair(x))`` ≡ ``x in f``.
+* The render memo is dropped exactly when a pattern report changes
+  something or the reachable shards move, is bounded by the topo
+  library, and never shares ``nodes_reporting`` between results.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+import reference_read_path
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.agent.reports import BloomReport, PatternLibraryReport
+from repro.backend.backend import MintBackend
+from repro.backend.sharded import ShardedBackend, shard_for_key
+from repro.backend.storage import StoredBloom
+from repro.bloom.bloom_filter import BloomFilter, _digest_pair, sized_for_bytes
+from repro.cold.blocks import decode_bloom_payload, encode_bloom_payload
+from repro.elastic.backend import ElasticShardedBackend
+from repro.framework import MintFramework
+from repro.parsing.span_parser import DURATION_KEY, SpanPattern
+from repro.parsing.string_patterns import WILDCARD, StringTemplate, template_from_text
+from repro.parsing.trace_parser import TopoPattern
+from repro.sim.experiment import drive, generate_stream
+from repro.transport.deployment import Deployment
+from repro.workloads import build_onlineboutique
+
+# ----------------------------------------------------------------------
+# StringTemplate.reconstruct
+# ----------------------------------------------------------------------
+TOKENS = st.sampled_from([WILDCARD, "select", "x1", " ", "=", "/", "?", ":", "id", "ü"])
+PARAMS = st.text(alphabet=st.sampled_from(list("ab1 /=:<*>ü")), max_size=6)
+
+
+@st.composite
+def template_and_params(draw):
+    template = StringTemplate(tokens=tuple(draw(st.lists(TOKENS, max_size=12))))
+    params = draw(
+        st.lists(PARAMS, min_size=template.wildcard_count, max_size=template.wildcard_count)
+    )
+    return template, params
+
+
+class TestSegmentJoinedReconstruct:
+    @settings(max_examples=400, deadline=None)
+    @given(template_and_params())
+    def test_equals_the_token_walk(self, case):
+        template, params = case
+        want = reference_read_path.reconstruct(template, params)
+        assert template.reconstruct(params) == want
+        assert template.reconstruct(tuple(params)) == want
+        reparsed = template_from_text(template.text)  # what the backend holds
+        if reparsed.wildcard_count == len(params):
+            assert reparsed.reconstruct(params) == reference_read_path.reconstruct(
+                reparsed, params
+            )
+
+    @settings(max_examples=400, deadline=None)
+    @given(template_and_params())
+    def test_extract_then_reconstruct_round_trips(self, case):
+        template, params = case
+        value = reference_read_path.reconstruct(template, params)
+        extracted = template.extract(value)
+        assert extracted is not None
+        assert template.reconstruct(extracted) == value
+
+    @pytest.mark.parametrize(
+        "tokens, params, want",
+        [
+            ((), [], ""),
+            (("a", " ", "b"), [], "a b"),
+            ((WILDCARD,), [""], ""),
+            ((WILDCARD, "a"), ["<*>"], "<*>a"),
+            (("a", WILDCARD), ["x y"], "ax y"),
+            ((WILDCARD, WILDCARD, "/", WILDCARD, WILDCARD), ["p", "q"], "p/q"),
+            ((WILDCARD, "=", WILDCARD), ["", ""], "="),
+        ],
+    )
+    def test_edges(self, tokens, params, want):
+        template = StringTemplate(tokens=tokens)
+        assert template.reconstruct(params) == want
+        assert reference_read_path.reconstruct(template, params) == want
+
+    @pytest.mark.parametrize("params", [[], ["a"], ["a", "b", "c"]])
+    def test_wrong_arity_raises(self, params):
+        template = StringTemplate(tokens=("k", "=", WILDCARD, "&", WILDCARD))
+        with pytest.raises(ValueError, match="2 wildcards"):
+            template.reconstruct(params)
+        with pytest.raises(ValueError, match="2 wildcards"):
+            reference_read_path.reconstruct(template, params)
+
+
+# ----------------------------------------------------------------------
+# BloomFilter.contains_hashed
+# ----------------------------------------------------------------------
+# (n, p) -> bit_count 959 (7 mod 8), 8 (the floor; h2 % m == 0 is common),
+# 14378, 124 and the deployed 4 KB geometry.
+GEOMETRIES = [(100, 0.01), (1, 0.5), (1000, 0.001), (37, 0.2), (3417, 0.01)]
+
+
+def definitional_probe(filt: BloomFilter, h1: int, h2: int) -> bool:
+    bits = int.from_bytes(filt.to_bytes(), "little")
+    return all(
+        bits >> ((h1 + i * h2) % filt.bit_count) & 1 for i in range(filt.hash_count)
+    )
+
+
+def round_trips(filt: BloomFilter) -> list[BloomFilter]:
+    """The filter itself, through to/from_bytes, and through a cold block."""
+    clone = BloomFilter.from_bytes(
+        filt.to_bytes(), filt.expected_insertions, filt.false_positive_probability, len(filt)
+    )
+    (decoded,) = decode_bloom_payload(
+        encode_bloom_payload([StoredBloom(node="n", topo_pattern_id="t", filter=filt)])
+    )
+    return [filt, clone, decoded.filter]
+
+
+class TestHashedProbe:
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_equals_in_for_inserted_and_absent_ids(self, geometry):
+        rng = random.Random(geometry[0])
+        left, right = BloomFilter(*geometry), BloomFilter(*geometry)
+        inserted = [f"{rng.getrandbits(128):032x}" for _ in range(geometry[0])]
+        for index, item in enumerate(inserted):
+            (left if index % 2 else right).add(item)
+        merged = BloomFilter(*geometry)
+        merged.absorb(left)
+        merged.absorb(right)
+        absent = [f"{rng.getrandbits(128):032x}" for _ in range(300)]
+        for base in (left, right, merged):
+            for filt in round_trips(base):
+                assert filt.geometry() == base.geometry() and len(filt) == len(base)
+                for item in inserted + absent:
+                    digest = _digest_pair(item)
+                    got = filt.contains_hashed(*digest)
+                    assert got == (item in filt)
+                    assert got == reference_read_path.bloom_contains(filt, item)
+                    assert got == definitional_probe(filt, *digest)
+        assert all(merged.contains_hashed(*_digest_pair(item)) for item in inserted)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(GEOMETRIES),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=64),
+        st.booleans(),
+    )
+    def test_any_digest_matches_the_definition(self, geometry, h1, h2, fill, zero_step):
+        filt = BloomFilter(*geometry)
+        for index in range(fill):
+            filt.add(f"item-{index}")
+        if zero_step:  # every probe lands on the same bit
+            h2 -= h2 % filt.bit_count
+        assert filt.contains_hashed(h1, h2) == definitional_probe(filt, h1, h2)
+
+    def test_zero_step_digest_of_a_real_id(self):
+        filt = BloomFilter(1, 0.5)
+        item = next(
+            f"id-{i}" for i in range(10_000) if _digest_pair(f"id-{i}")[1] % filt.bit_count == 0
+        )
+        assert item not in filt and not filt.contains_hashed(*_digest_pair(item))
+        filt.add(item)
+        assert item in filt and filt.contains_hashed(*_digest_pair(item))
+
+
+class TestFromBytes:
+    def test_adopts_a_copy_of_the_payload(self):
+        source = sized_for_bytes(4096)
+        source.add("a" * 32)
+        payload = bytearray(source.to_bytes())
+        clone = BloomFilter.from_bytes(payload, source.expected_insertions, 0.01, inserted=1)
+        payload[:] = bytes(len(payload))
+        assert "a" * 32 in clone and clone.inserted == 1
+        assert clone.size_bytes == source.size_bytes
+        clone.add("b" * 32)
+        assert "b" * 32 not in source
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_length_payload_raises(self, delta):
+        filt = BloomFilter(200, 0.01)
+        payload = (filt.to_bytes() + b"x")[: filt.size_bytes + delta]
+        with pytest.raises(ValueError, match=f"expected {filt.size_bytes}"):
+            BloomFilter.from_bytes(payload, 200, 0.01)
+
+
+# ----------------------------------------------------------------------
+# The segment-render memo
+# ----------------------------------------------------------------------
+TRACE_ID = "7" * 32
+ROOT = SpanPattern(
+    name="GET /cart",
+    service="cart",
+    kind="server",
+    status="ok",
+    attributes=(("items", "numeric", "<num>"), (DURATION_KEY, "numeric", "<num>")),
+)
+CHILD = SpanPattern(
+    name="redis.get",
+    service="cart",
+    kind="client",
+    status="ok",
+    attributes=(("key", "string", "cart:<*>"),),
+)
+TOPO = TopoPattern(
+    roots=((ROOT.pattern_id, ((CHILD.pattern_id, ()),)),),
+    entry_ops=(("cart", "GET /cart"),),
+    exit_ops=(("redis", "get"),),
+)
+
+
+def root_report(node: str, upper: float, with_child: bool = False) -> PatternLibraryReport:
+    patterns = [dict(ROOT.to_dict(), numeric_ranges={"items": [1.0, upper]})]
+    if with_child:
+        patterns.append(CHILD.to_dict())
+    return PatternLibraryReport(node=node, span_patterns=patterns)
+
+
+def topo_and_bloom_reports(node: str):
+    filt = sized_for_bytes(4096)
+    filt.add(TRACE_ID)
+    return (
+        PatternLibraryReport(node=node, topo_patterns=[TOPO.to_dict()]),
+        BloomReport(
+            node=node, topo_pattern_id=TOPO.pattern_id, payload=filt.to_bytes(), inserted=1
+        ),
+    )
+
+
+def rendered(backend):
+    """(span names, the root's ``items`` range) of the one segment."""
+    result = backend.query(TRACE_ID)
+    assert result.status == "partial"
+    (segment,) = result.approximate.segments
+    assert segment.nodes_reporting == ["host-a"]
+    return [v["name"] for v in segment.spans], segment.spans[0]["attributes"]["items"]
+
+
+def two_hosts_on_different_shards() -> tuple[str, str]:
+    home = shard_for_key("host-a", 2)
+    other = next(h for h in map("host-{}".format, "bcdefgh") if shard_for_key(h, 2) != home)
+    return "host-a", other
+
+
+class TestRenderMemoStaleness:
+    @pytest.mark.parametrize("make", [MintBackend, lambda: ShardedBackend(num_shards=2)])
+    def test_a_pattern_report_shows_in_the_next_answer(self, make):
+        backend = make()
+        first_host, second_host = two_hosts_on_different_shards()
+        backend.receive(root_report(first_host, upper=10.0))
+        for report in topo_and_bloom_reports(first_host):
+            backend.receive(report)
+        before = backend.query(TRACE_ID)
+        assert rendered(backend) == (["GET /cart"], "(1, 10]")
+        # Wider range + the span pattern the first render could not resolve.
+        backend.receive(root_report(second_host, upper=50.0, with_child=True))
+        assert rendered(backend) == (["GET /cart", "redis.get"], "(1, 50]")
+        # The earlier answer is a snapshot: nothing rewrote it in place.
+        (old_segment,) = before.approximate.segments
+        assert [v["name"] for v in old_segment.spans] == ["GET /cart"]
+        assert old_segment.spans[0]["attributes"]["items"] == "(1, 10]"
+
+    def test_version_moves_exactly_when_a_report_changes_something(self):
+        engine = MintBackend().storage
+        engine.store_pattern_report(root_report("host-a", upper=10.0))
+        engine.store_pattern_report(topo_and_bloom_reports("host-a")[0])
+        version, renders = engine.pattern_version, engine.segment_renders
+        renders["sentinel"] = object()
+        for _ in range(2):  # duplicates and narrower ranges change nothing
+            engine.store_pattern_report(root_report("host-b", upper=10.0))
+            engine.store_pattern_report(root_report("host-b", upper=5.0))
+            engine.store_pattern_report(topo_and_bloom_reports("host-b")[0])
+        assert engine.pattern_version == version and engine.segment_renders is renders
+        for report in (
+            root_report("host-b", upper=11.0),
+            root_report("host-b", upper=11.0, with_child=True),
+        ):
+            engine.store_pattern_report(report)
+            version += 1
+            assert engine.pattern_version == version
+            assert "sentinel" not in engine.segment_renders
+
+    @pytest.mark.parametrize("start_down", [False, True])
+    def test_outage_renders_and_healthy_renders_never_mix(self, start_down):
+        backend = ElasticShardedBackend(num_shards=2)
+        first_host, second_host = two_hosts_on_different_shards()
+        backend.receive(root_report(first_host, upper=10.0))
+        for report in topo_and_bloom_reports(first_host):
+            backend.receive(report)
+        backend.receive(root_report(second_host, upper=50.0, with_child=True))
+        down: set[int] = set()
+        backend.down_shards = lambda: down
+        healthy = (["GET /cart", "redis.get"], "(1, 50]")
+        degraded = (["GET /cart"], "(1, 10]")
+        outage = {backend.shard_for(second_host)}
+        for is_down in [start_down, not start_down, start_down, start_down]:
+            down.clear()
+            down.update(outage if is_down else ())
+            assert rendered(backend) == (degraded if is_down else healthy)
+
+
+class TestRenderMemoBound:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_bounded_by_the_topo_library_and_nodes_never_shared(self, shards):
+        workload = build_onlineboutique()
+        stream, _ = generate_stream(workload, 200, abnormal_rate=0.05, seed=3)
+        deployment = Deployment.single() if shards == 1 else Deployment.sharded(shards)
+        framework = MintFramework(deployment=deployment, auto_warmup_traces=40)
+        drive(framework, stream)
+        rng = random.Random(4)
+        ids = [trace.trace_id for _, trace in stream] + ["missing"]
+        results = []
+        for _ in range(20):
+            results.extend(framework.query(rng.choice(ids)) for _ in range(50))
+            results.extend(framework.query_many(rng.choices(ids, k=50)))
+        assert len(results) == 2000
+        storage = framework.backend.storage
+        assert 0 < len(storage.segment_renders) <= len(storage.topo_patterns)
+        by_pattern: dict[str, list] = {}
+        for result in {id(r): r for r in results}.values():  # cursors repeat objects
+            if result.approximate is not None:
+                for segment in result.approximate.segments:
+                    by_pattern.setdefault(segment.topo_pattern_id, []).append(segment)
+        assert any(len(group) > 1 for group in by_pattern.values())
+        for group in by_pattern.values():
+            assert len({id(seg.nodes_reporting) for seg in group}) == len(group)
+            # ... while the pattern-only render is one shared, read-only object.
+            assert len({id(seg.spans) for seg in group}) == 1
+        framework.close()
