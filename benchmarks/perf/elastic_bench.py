@@ -45,6 +45,9 @@ DEFAULTS = {
     "workloads": list(WORKLOAD_BUILDERS),
     "seed": 17,
 }
+# Every cell is simulated time, counts and bytes: no wall-clock section,
+# and run.py keeps the environment block out of the committed report.
+WALL_CLOCK = ()
 FLAGS = {
     "--profiles": dict(
         nargs="+", default=sorted(SHARD_CHAOS_PROFILES), choices=sorted(SHARD_CHAOS_PROFILES)
