@@ -42,10 +42,11 @@ from repro.concurrent.worker import (
 
 #: Inbound command-batch bound per thread lane.  Each entry is a whole
 #: ops batch, so the bound caps in-flight work at
-#: ``queue_bound * ops_batch`` sub-traces per lane — deep enough to keep
+#: ``QUEUE_BOUND * ops_batch`` sub-traces per lane — deep enough to keep
 #: a lane busy across an epoch, small enough that a stalled lane
-#: backpressures the producer instead of buffering the run.
-DEFAULT_QUEUE_BOUND = 64
+#: backpressures the producer instead of buffering the run.  (Process
+#: lanes are bounded by the OS pipe buffer instead.)
+QUEUE_BOUND = 64
 
 
 class LaneError(RuntimeError):
@@ -90,10 +91,9 @@ class ThreadLane:
         index: int,
         config: MintConfig,
         sampler_factories: list[SamplerFactory] | None = None,
-        queue_bound: int = DEFAULT_QUEUE_BOUND,
     ) -> None:
         self.index = index
-        self._inbox: queue.Queue[tuple] = queue.Queue(maxsize=queue_bound)
+        self._inbox: queue.Queue[tuple] = queue.Queue(maxsize=QUEUE_BOUND)
         self._outbox: queue.SimpleQueue[tuple] = queue.SimpleQueue()
         self._stopped = False
         state = AgentWorkerState(config, sampler_factories)
@@ -161,9 +161,7 @@ class ProcessLane:
         index: int,
         config: MintConfig,
         sampler_factories: list[SamplerFactory] | None = None,
-        queue_bound: int = DEFAULT_QUEUE_BOUND,
     ) -> None:
-        del queue_bound  # the OS pipe buffer is the bound
         self.index = index
         self._stopped = False
         methods = multiprocessing.get_all_start_methods()
@@ -217,8 +215,7 @@ LANE_KINDS = {"thread": ThreadLane, "process": ProcessLane}
 
 
 def make_lane(mode: str, index: int, config: MintConfig,
-              sampler_factories: list[SamplerFactory] | None = None,
-              queue_bound: int = DEFAULT_QUEUE_BOUND):
+              sampler_factories: list[SamplerFactory] | None = None):
     """Construct one lane of the requested kind."""
     try:
         kind = LANE_KINDS[mode]
@@ -226,4 +223,4 @@ def make_lane(mode: str, index: int, config: MintConfig,
         raise ValueError(
             f"unknown worker mode {mode!r}; expected one of {sorted(LANE_KINDS)}"
         ) from None
-    return kind(index, config, sampler_factories, queue_bound)
+    return kind(index, config, sampler_factories)

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.agent.reports import PatternLibraryReport, Report
 from repro.backend.sharded import shard_for_key
-from repro.concurrent.lanes import DEFAULT_QUEUE_BOUND, LaneError, make_lane
+from repro.concurrent.lanes import LaneError, make_lane
 from repro.concurrent.snapshot import PatternPlaneSnapshot
 from repro.concurrent.worker import SamplerFactory, Stamp
 from repro.obs.trace import NULL_OBSERVER, Observer
@@ -109,7 +109,6 @@ class ParallelIngestPlane:
         ingest_epoch: int = 32,
         set_now: Callable[[float], None] | None = None,
         sampler_factories: list[SamplerFactory] | None = None,
-        queue_bound: int = DEFAULT_QUEUE_BOUND,
         ops_batch: int = DEFAULT_OPS_BATCH,
     ) -> None:
         if workers <= 0:
@@ -124,8 +123,7 @@ class ParallelIngestPlane:
         self._set_now = set_now if set_now is not None else (lambda now: None)
         self._ops_batch = ops_batch
         self._lanes = [
-            make_lane(mode, i, config, sampler_factories, queue_bound)
-            for i in range(workers)
+            make_lane(mode, i, config, sampler_factories) for i in range(workers)
         ]
         self._proxies: dict[str, LaneCollectorProxy] = {}
         self._op_buffers: list[list] = [[] for _ in range(workers)]

@@ -13,11 +13,12 @@ it host by host while ingest continues:
    partition the host's reports exactly: nothing is stranded, nothing
    is stored twice;
 3. **stream** — the snapshot is re-sent as ordinary Bloom/params
-   reports through :meth:`Transport.deliver_migration`, which charges
-   the separate ``migration`` meter (the ``retransmit`` discipline:
-   byte tables stay topology-invariant, the overhead is visible on its
-   own meter).  Over the simulated network plane the state rides real
-   migration links — batched, lossy, retried — and still converges.
+   reports through :meth:`Transport.deliver` as ``MIGRATION`` traffic,
+   which charges the separate ``migration`` meter (the ``retransmit``
+   discipline: byte tables stay topology-invariant, the overhead is
+   visible on its own meter).  Over the simulated network plane the
+   state rides real migration links — batched, lossy, retried — and
+   still converges.
 
 Pattern libraries never move: their ids are content hashes, so the
 merged fan-out resolves any shard's copy, and the destination re-learns
@@ -37,6 +38,7 @@ from typing import TYPE_CHECKING
 from repro.agent.reports import BloomReport, ParamsReport
 from repro.backend.sharded import shard_for_key
 from repro.elastic.backend import ElasticShardedBackend
+from repro.transport.wire import MIGRATION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.transport.transport import Transport
@@ -182,14 +184,14 @@ class ReshardCoordinator:
             )
             self.stats.bloom_reports += 1
             self.stats.migrated_bytes += report.size_bytes()
-            self.transport.deliver_migration(report)
+            self.transport.deliver(report, MIGRATION)
         for trace_id in sorted(params):
             report = ParamsReport(
                 node=move.host, trace_id=trace_id, records=params[trace_id]
             )
             self.stats.params_reports += 1
             self.stats.migrated_bytes += report.size_bytes()
-            self.transport.deliver_migration(report)
+            self.transport.deliver(report, MIGRATION)
         self.stats.hosts_moved += 1
         self.stats.moves.append(move)
 

@@ -48,6 +48,7 @@ from repro.query.result import QueryResult
 from repro.query.spec import QuerySpec
 from repro.sim.meters import OverheadLedger, ShardLedgerRow
 from repro.transport import Deployment
+from repro.transport.wire import MIGRATION, PUSH, RETRANSMIT
 
 SamplerFactory = Callable[[], Sampler]
 
@@ -126,7 +127,7 @@ class MintFramework(TracingFramework):
         # here, in sequential order, at the plane's apply barriers.
         # The live query plane (standing-query subscriptions) is built
         # lazily on the first ``subscribe`` — a framework without
-        # analysts pays nothing, and the on_sampled/push_sink seams
+        # analysts pays nothing, and the on_sampled / push-sink seams
         # stay unclaimed for other layers to observe.
         self._live = None
         self._plane = None
@@ -378,7 +379,7 @@ class MintFramework(TracingFramework):
         separation discipline as :attr:`retransmit_bytes` and
         :attr:`migration_bytes`.  Always 0 without subscriptions.
         """
-        return self.transport.push.total_bytes
+        return self.transport.meters[PUSH.meter].total_bytes
 
     # ------------------------------------------------------------------
     # Concurrent-plane surface (parallel deployments only)
@@ -437,8 +438,7 @@ class MintFramework(TracingFramework):
         on the network meter — the fig02/fig11 byte tables are loss-
         invariant by construction.  Always 0 on ``LocalTransport``.
         """
-        meter = self.transport.retransmit
-        return meter.total_bytes if meter is not None else 0
+        return self.transport.meters[RETRANSMIT].total_bytes
 
     @property
     def migration_bytes(self) -> int:
@@ -449,7 +449,7 @@ class MintFramework(TracingFramework):
         the same separation discipline as :attr:`retransmit_bytes`.
         Always 0 until a reshard runs.
         """
-        return self.transport.migration.total_bytes
+        return self.transport.meters[MIGRATION.meter].total_bytes
 
     def net_stats(self) -> dict | None:
         """The network plane's delivery metrics, when one is deployed."""

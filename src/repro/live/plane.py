@@ -7,8 +7,9 @@ transport, claiming two existing seams:
   matched against the subscription registry as it lands, riding the
   same idempotent notification path the fleet-wide "check and report"
   ping uses;
-* the transport's ``push_sink`` — arriving push notifications are
-  routed to their subscription, deduplicated, and timed.
+* the transport's sink for ``PUSH`` traffic — arriving push
+  notifications are routed to their subscription, deduplicated, and
+  timed.
 
 The registry is read-mostly in the RCU spirit the pattern plane
 already uses: an immutable tuple snapshot swapped atomically under a
@@ -44,12 +45,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.live.subscription import PushCallback, PushNotification, Subscription
 from repro.obs.metrics import SIM_DOMAIN
 from repro.obs.trace import NULL_OBSERVER, Observer
 from repro.query.spec import QuerySpec
+from repro.transport.wire import PUSH
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.transport.plane import BackendPlane
@@ -59,16 +61,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LiveQueryPlane:
     """Standing-query registry, matcher and push dispatcher.
 
-    ``reeval_every`` paces the re-evaluation of pending candidates:
-    every N-th sampling notification re-runs each subscription's whole
-    pending set (default every notification — pending sets hold only
-    sampled-but-uncommitted ids, so they stay small), the others
-    evaluate just the new candidate (a point-shaped plan).  On a
-    latent wire a candidate's parameters are usually still in flight
-    at its own notification; the pending re-evaluation is what lets it
-    stream at a later notification instead of waiting for finalize.
-    The cadence is counter-based, never wall clock, so identical
-    streams evaluate identically.
+    Every sampling notification re-runs each subscription's whole
+    pending set (pending sets hold only sampled-but-uncommitted ids,
+    so they stay small).  On a latent wire a candidate's parameters
+    are usually still in flight at its own notification; the pending
+    re-evaluation is what lets it stream at a later notification
+    instead of waiting for finalize.
     """
 
     def __init__(
@@ -78,12 +76,10 @@ class LiveQueryPlane:
         observer: Observer = NULL_OBSERVER,
         *,
         eager_time_range: bool = False,
-        reeval_every: int = 1,
     ) -> None:
         self._backend = backend
         self._transport = transport
         self._eager_time_range = eager_time_range
-        self._reeval_every = max(1, reeval_every)
         self._lock = threading.Lock()
         self._snapshot: tuple[Subscription, ...] = ()
         self._by_id: dict[str, Subscription] = {}
@@ -99,8 +95,7 @@ class LiveQueryPlane:
         # the same discipline as notify_meter / flush_transport.
         if backend.on_sampled is None:
             backend.on_sampled = self._on_sampled
-        if transport.push_sink is None:
-            transport.push_sink = self._on_push_arrival
+        transport.sinks.setdefault(PUSH.sink, self._on_push_arrival)
         self.bind_observer(observer)
 
     # ------------------------------------------------------------------
@@ -177,27 +172,23 @@ class LiveQueryPlane:
         if not subs:
             return
         self._notifies += 1
-        full = self._notifies % self._reeval_every == 0
         for sub in subs:
             if not sub.active:
                 continue
             if sub.wants(trace_id):
                 sub._pending.add(trace_id)
-            if full:
-                if sub._pending:
-                    self._evaluate(sub, sub._pending)
-            elif trace_id in sub._pending:
-                self._evaluate(sub, (trace_id,))
+            if sub._pending:
+                self._evaluate(sub)
 
-    def _evaluate(self, sub: Subscription, candidates: Iterable[str]) -> None:
-        """Run the spec over ``candidates``; push irrevocable matches.
+    def _evaluate(self, sub: Subscription) -> None:
+        """Run the spec over the pending ids; push irrevocable matches.
 
         The spec's own candidate universe is replaced by the pending
-        ids — a point-shaped plan per new arrival — and results are
-        committed under the streaming rule (module docstring): EXACT
-        only, time windows only when eager evaluation is safe.
+        ids, and results are committed under the streaming rule (module
+        docstring): EXACT only, time windows only when eager evaluation
+        is safe.
         """
-        fresh = tuple(sorted(c for c in candidates if c not in sub._pushed))
+        fresh = tuple(sorted(c for c in sub._pending if c not in sub._pushed))
         if not fresh:
             return
         self._evaluations += 1
@@ -232,18 +223,19 @@ class LiveQueryPlane:
             self._pushes_streamed += 1
         else:
             self._pushes_settled += 1
-        self._transport.deliver_push(
+        self._transport.deliver(
             PushNotification(
                 subscription_id=sub.id,
                 trace_id=trace_id,
                 status=status,
                 matched_at=self._transport.wire_now(),
                 phase=phase,
-            )
+            ),
+            PUSH,
         )
 
     # ------------------------------------------------------------------
-    # Delivery (the transport's push sink)
+    # Delivery (the transport's sink for PUSH traffic)
     # ------------------------------------------------------------------
     def _on_push_arrival(
         self, note: PushNotification, message_id: tuple | None = None
@@ -283,7 +275,7 @@ class LiveQueryPlane:
             "delivered": self._delivered,
             "duplicates": self._duplicates,
             "dropped": self._dropped,
-            "push_bytes": self._transport.push.total_bytes,
+            "push_bytes": self._transport.meters[PUSH.meter].total_bytes,
             "per_subscription": [
                 self._by_id[sid].summary() for sid in sorted(self._by_id)
             ],

@@ -16,8 +16,8 @@ retransmission that dominate real deployments.
   delivery on top of a lossy wire;
 * :mod:`repro.net.transport` — :class:`NetTransport`, the
   :class:`~repro.transport.transport.Transport` implementation tying
-  them together: per-link latency/bandwidth models, bounded per-collector
-  send queues with size/age-triggered batch flushing and backpressure.
+  them together: a per-link latency model, bounded per-link send
+  queues with size/age-triggered batch flushing and backpressure.
 
 Two gates pin the plane's correctness
 (``benchmarks/perf/run.py net --check``):

@@ -1,13 +1,13 @@
 """NetTransport: the deployment plane's simulated network wire.
 
 Implements the :class:`~repro.transport.transport.Transport` protocol
-on top of the event scheduler: reports are charged at the wire exactly
+on top of the event scheduler: messages are charged at the wire exactly
 as :class:`~repro.transport.transport.LocalTransport` charges them,
-then queued per collector link, flushed as batches (size-, byte- or
+then queued per link, flushed as batches (size-, byte- or
 age-triggered, with backpressure when a bounded queue fills), carried
-over a per-link latency/bandwidth model through seeded chaos, and
-delivered to the backend by the reliable layer — exactly once, in
-per-link FIFO order.
+over a per-link latency model through seeded chaos, and landed on
+their class's sink by the reliable layer — exactly once, in per-link
+FIFO order.
 
 Byte-accounting invariants, enforced by
 ``benchmarks/perf/run.py net --check``:
@@ -34,11 +34,11 @@ from repro.net.chaos import LOSSLESS, ChaosEngine, ChaosProfile
 from repro.net.events import Event, EventScheduler
 from repro.net.reliable import Batch, ReliableLink
 from repro.sim.clock import SimClock
-from repro.sim.meters import LatencyStats, Meter, OverheadLedger
+from repro.sim.meters import LatencyStats, OverheadLedger
 from repro.transport.transport import Clock, LocalTransport
+from repro.transport.wire import INGEST, PUSH, RETRANSMIT, TrafficClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.agent.reports import Report
     from repro.transport.plane import BackendPlane
 
 
@@ -47,15 +47,13 @@ class NetworkDescriptor:
     """Immutable description of the simulated wire.
 
     The default is the *lossless instantaneous* wire: zero latency,
-    infinite bandwidth, every report its own batch, no chaos — the
-    configuration under which ``NetTransport`` must be bit-identical to
-    ``LocalTransport``.  ``bandwidth_bytes_per_s == 0`` means infinite;
+    every report its own batch, no chaos — the configuration under
+    which ``NetTransport`` must be bit-identical to ``LocalTransport``.
     ``max_batch_bytes == 0`` and ``max_batch_age_s == 0`` disable the
     respective flush triggers.
     """
 
     latency_s: float = 0.0
-    bandwidth_bytes_per_s: float = 0.0
     max_batch_reports: int = 1
     max_batch_bytes: int = 0
     max_batch_age_s: float = 0.0
@@ -69,8 +67,6 @@ class NetworkDescriptor:
     def __post_init__(self) -> None:
         if self.latency_s < 0:
             raise ValueError("latency_s must be >= 0")
-        if self.bandwidth_bytes_per_s < 0:
-            raise ValueError("bandwidth_bytes_per_s must be >= 0 (0 = infinite)")
         if self.max_batch_reports < 1:
             raise ValueError("max_batch_reports must be >= 1")
         if self.max_batch_bytes < 0 or self.max_batch_age_s < 0:
@@ -98,15 +94,7 @@ class NetworkDescriptor:
         return cls()
 
     @classmethod
-    def batched(
-        cls,
-        max_batch_reports: int = 256,
-        max_batch_bytes: int = 64 * 1024,
-        max_batch_age_s: float = 1.0,
-        latency_s: float = 0.02,
-        bandwidth_bytes_per_s: float = 0.0,
-        queue_capacity: int = 128,
-    ) -> "NetworkDescriptor":
+    def batched(cls) -> "NetworkDescriptor":
         """A realistic batching wire (still lossless).
 
         Batches form on bytes and age; ``queue_capacity`` sits *below*
@@ -116,12 +104,11 @@ class NetworkDescriptor:
         queue.
         """
         return cls(
-            latency_s=latency_s,
-            bandwidth_bytes_per_s=bandwidth_bytes_per_s,
-            max_batch_reports=max_batch_reports,
-            max_batch_bytes=max_batch_bytes,
-            max_batch_age_s=max_batch_age_s,
-            queue_capacity=queue_capacity,
+            latency_s=0.02,
+            max_batch_reports=256,
+            max_batch_bytes=64 * 1024,
+            max_batch_age_s=1.0,
+            queue_capacity=128,
         )
 
     def with_chaos(self, chaos: ChaosProfile, seed: int = 0) -> "NetworkDescriptor":
@@ -133,7 +120,6 @@ class NetworkDescriptor:
         """True when delivery completes inside the ``deliver`` call."""
         return (
             self.latency_s == 0.0
-            and self.bandwidth_bytes_per_s == 0.0
             and self.max_batch_reports == 1
             and self.chaos.is_lossless
         )
@@ -147,25 +133,10 @@ class NetworkDescriptor:
             parts.append(f"batch<={self.max_batch_reports}")
         if self.latency_s:
             parts.append(f"{self.latency_s * 1000:g}ms")
-        if self.bandwidth_bytes_per_s:
-            parts.append(f"{self.bandwidth_bytes_per_s / 1e6:g}MB/s")
         if not self.chaos.is_lossless:
             parts.append(f"chaos={self.chaos.name}")
         return "net[" + ",".join(parts or ["lossless"]) + "]"
 
-
-# Reshard traffic rides per-host *migration links*, separate from the
-# host's ingest link: migration batches queue, batch, drop and retry
-# under the same wire model, but their backlog never delays live
-# reports and never shows up in the autoscaler's queue-depth signal.
-MIGRATION_LINK_PREFIX = "migrate::"
-
-# Standing-query pushes ride per-subscription *push links*: the
-# backend->subscriber direction gets the full wire model (batching,
-# latency, chaos, reliable retries) without ever queueing behind live
-# ingest or registering on the autoscaler's pressure signal — the same
-# link-namespace discipline as migration traffic.
-PUSH_LINK_PREFIX = "push::"
 
 # The standard harness wire for chaos sweeps — batching and a little
 # latency so the wire's mechanics are on the measured path, and a retry
@@ -179,7 +150,7 @@ CHAOS_WIRE = NetworkDescriptor(
 
 @dataclass
 class LinkStats:
-    """Delivery metrics of one collector->backend link (fig15-style)."""
+    """Delivery metrics of one send link (fig15-style)."""
 
     sent_batches: int = 0
     sent_reports: int = 0
@@ -216,9 +187,9 @@ class LinkStats:
 class NetTransport(LocalTransport):
     """The simulated network plane behind the ``Transport`` seam.
 
-    Subclasses :class:`LocalTransport` for the ledger double
-    bookkeeping, notify metering and storage sync, and replaces the
-    synchronous ``deliver`` with the queued/batched/lossy/retried wire.
+    Subclasses :class:`LocalTransport` for the charging site, notify
+    metering and storage sync, and replaces the synchronous ``deliver``
+    with the queued/batched/lossy/retried wire.
     The transport owns its own :class:`SimClock`; every public call
     first pumps the event scheduler up to the caller's clock, so
     in-flight effects land exactly when (in simulated time) they are
@@ -245,13 +216,14 @@ class NetTransport(LocalTransport):
         super().__init__(
             backend, ledger, clock=lambda: self._sim.now, shard_ledgers=shard_ledgers
         )
-        self.retransmit = Meter("retransmit")
-        self._queues: dict[str, list[tuple["Report", int]]] = {}
+        self._queues: dict[str, list[tuple[object, int]]] = {}
+        # The class each link was created for: what decides whether the
+        # autoscaler sees its queue and where its batches land.
+        self._link_class: dict[str, TrafficClass] = {}
         self._queue_bytes: dict[str, int] = {}
         self._age_timers: dict[str, Event] = {}
         self._flush_pending: set[str] = set()
         self._links: dict[str, ReliableLink] = {}
-        self._link_busy_until: dict[str, float] = {}
         self.link_stats: dict[str, LinkStats] = {}
         # The retroactive pull re-queries storage immediately after
         # asking collectors to upload; with in-flight batching those
@@ -264,53 +236,25 @@ class NetTransport(LocalTransport):
     # ------------------------------------------------------------------
     # The wire (Transport protocol)
     # ------------------------------------------------------------------
-    def deliver(self, report: "Report") -> None:
-        """Charge the report at the wire, then queue it on its link.
+    def deliver(self, message, cls: TrafficClass = INGEST) -> None:
+        """Charge the message at the wire, then queue it on its link.
 
-        The network meter (and the owning shard's ledger) is charged at
-        enqueue time — when the collector commits the bytes to the wire
-        — which is the same instant ``LocalTransport`` charges, so the
-        fig02/fig11 network tables are invariant under batching and
-        chaos alike.
+        The class's meter is charged at enqueue time — when the sender
+        commits the bytes to the wire — which is the same instant
+        ``LocalTransport`` charges, so every meter's totals (and the
+        fig02/fig11 network tables) are invariant under batching and
+        chaos alike.  The batch then rides the ordinary reliable
+        machinery whatever its class: chaos can drop or duplicate it,
+        retries re-carry it, and the per-link sequence numbers give the
+        sink a deterministic message id for its own idempotence check.
+        (Never called from inside the scheduler — collectors, the
+        reshard coordinator and the live plane all send from the
+        ingest/finalize path — so ``_enqueue``'s immediate pump cannot
+        re-enter.)
         """
         self._advance()
-        size = report.size_bytes()
-        self._charge_report(report.node, size, self._sim.now)
-        self._enqueue(report.node, report, size)
-
-    def deliver_migration(self, report: "Report") -> None:
-        """Queue one resharding report on the host's migration link.
-
-        Charged on the ``migration`` meter only — the byte tables must
-        be shard-map invariant — and carried over its own link so the
-        wire model (batching, chaos, retries) applies to migration
-        traffic without it ever queueing behind, or being mistaken for,
-        live ingest.
-        """
-        self._advance()
-        self.migration.record(report.size_bytes(), self._sim.now)
-        self._enqueue(MIGRATION_LINK_PREFIX + report.node, report, report.size_bytes())
-
-    def deliver_push(self, message) -> None:
-        """Queue one push notification on its subscription's push link.
-
-        Charged on the ``push`` meter only, at enqueue time — the same
-        instant ``LocalTransport`` charges — so the push meter's totals
-        are batching- and chaos-invariant like the network meter's.
-        The batch then rides the ordinary reliable machinery: chaos can
-        drop or duplicate it, retries re-carry it, and the per-link
-        sequence numbers give the subscriber's sink a deterministic
-        message id for its own idempotence check.  (Like ``deliver``,
-        this is never called from inside the scheduler — the live plane
-        pushes from the ingest/finalize path — so ``_enqueue``'s
-        immediate pump cannot re-enter.)
-        """
-        self._advance()
-        self.push.record(message.size_bytes(), self._sim.now)
-        self._obs_push_messages.inc()
-        self._enqueue(
-            PUSH_LINK_PREFIX + message.subscription_id, message, message.size_bytes()
-        )
+        link, size = self._charge(message, cls)
+        self._enqueue(link, cls, message, size)
 
     def wire_now(self) -> float:
         """The simulated-network clock — read-only, never pumps.
@@ -325,27 +269,24 @@ class NetTransport(LocalTransport):
         return max(self._ext_clock(), self._sim.now)
 
     def queue_depths(self) -> dict[str, int]:
-        """Reports waiting per ingest link (migration/push links excluded).
+        """Reports waiting per link of the ``autoscaled`` classes.
 
         This is the autoscaler's pressure signal: the backlog a shard's
         hosts have committed to the wire but the plane has not flushed.
-        Migration links are deliberately invisible here — resharding
-        pressure must not retrigger the autoscaler that caused it —
-        and push links likewise: a popular standing query is analyst
-        load, not ingest pressure.
         """
         return {
             link: len(queue)
             for link, queue in self._queues.items()
-            if queue
-            and not link.startswith(MIGRATION_LINK_PREFIX)
-            and not link.startswith(PUSH_LINK_PREFIX)
+            if queue and self._link_class[link].autoscaled
         }
 
-    def _enqueue(self, link: str, report: "Report", size: int) -> None:
-        """Queue one charged report on ``link`` and apply flush triggers."""
-        queue = self._queues.setdefault(link, [])
-        queue.append((report, size))
+    def _enqueue(self, link: str, cls: TrafficClass, message, size: int) -> None:
+        """Queue one charged message on ``link`` and apply flush triggers."""
+        queue = self._queues.get(link)
+        if queue is None:
+            queue = self._queues[link] = []
+            self._link_class[link] = cls
+        queue.append((message, size))
         self._queue_bytes[link] = self._queue_bytes.get(link, 0) + size
         stats = self._stats_for(link)
         stats.max_queue_depth = max(stats.max_queue_depth, len(queue))
@@ -432,7 +373,7 @@ class NetTransport(LocalTransport):
             self._flush(link)
 
     # ------------------------------------------------------------------
-    # Physical layer: latency/bandwidth model + chaos
+    # Physical layer: latency model + chaos
     # ------------------------------------------------------------------
     def _transmit(self, batch: Batch, retransmit: bool) -> None:
         """Put one batch copy on the wire (fresh send or retransmit)."""
@@ -441,42 +382,32 @@ class NetTransport(LocalTransport):
         stats.transmissions += 1
         if retransmit:
             stats.retransmits += 1
-            self.retransmit.record(batch.size_bytes, now)
+            self.meters[RETRANSMIT].record(batch.size_bytes, now)
         if self._chaos.drops(batch.link, now):
             stats.dropped += 1
             return
-        arrival = self._arrival_time(batch)
+        arrival = now + self.network.latency_s + self._chaos.extra_delay()
         self._scheduler.at(arrival, lambda: self._links[batch.link].on_arrival(batch))
         if self._chaos.duplicates():
             # The wire copied the packet: extra bytes crossed the
             # network, charged on the retransmit meter like any other
             # redundant transmission.
             stats.duplicated += 1
-            self.retransmit.record(batch.size_bytes, now)
+            self.meters[RETRANSMIT].record(batch.size_bytes, now)
             self._scheduler.at(
                 arrival + self._chaos.extra_delay(),
                 lambda: self._links[batch.link].on_arrival(batch),
             )
 
-    def _arrival_time(self, batch: Batch) -> float:
-        net = self.network
-        start = max(self._sim.now, self._link_busy_until.get(batch.link, 0.0))
-        if net.bandwidth_bytes_per_s > 0:
-            done = start + batch.size_bytes / net.bandwidth_bytes_per_s
-            # The link serializes: the next transmission queues behind us.
-            self._link_busy_until[batch.link] = done
-        else:
-            done = start
-        return done + net.latency_s + self._chaos.extra_delay()
-
     def _deliver_batch(self, batch: Batch) -> None:
         """Reliable-layer callback: an in-order, exactly-once batch.
 
-        Each report carries a deterministic (link, seq, index) message
-        id into :meth:`BackendPlane.receive`, whose idempotent dedup is
-        the second line of defence behind the reliable layer — a
-        duplicate that slips through any future transport can never
-        perturb storage.
+        Each message carries a deterministic (link, seq, index) id to
+        its class's sink (:meth:`BackendPlane.receive`, the live
+        plane's push handler), whose idempotent dedup is the second
+        line of defence behind the reliable layer — a duplicate that
+        slips through any future transport can never perturb storage
+        or a subscription's hit set.
         """
         stats = self._stats_for(batch.link)
         stats.delivered_batches += 1
@@ -489,17 +420,9 @@ class NetTransport(LocalTransport):
             # never pumped — the wire_now discipline — so the series is
             # bit-reproducible across identical seeded runs.
             self.observer.observe_sim("net_queue_wait", queue_wait, link=batch.link)
-        if batch.link.startswith(PUSH_LINK_PREFIX):
-            # Push batches route to the subscription plane's sink, not
-            # the backend store.  The (link, seq, index) id rides along
-            # so the sink's per-(subscription, trace) dedup has the
-            # same second line of defence ``BackendPlane.receive`` has.
-            if self.push_sink is not None:
-                for index, message in enumerate(batch.reports):
-                    self.push_sink(message, (batch.link, batch.seq, index))
-            return
-        for index, report in enumerate(batch.reports):
-            self.backend.receive(report, message_id=(batch.link, batch.seq, index))
+        sink = self.sinks[self._link_class[batch.link].sink]
+        for index, message in enumerate(batch.reports):
+            sink(message, (batch.link, batch.seq, index))
 
     # ------------------------------------------------------------------
     # Pumping and quiescence
@@ -615,8 +538,8 @@ class NetTransport(LocalTransport):
             "links": len(self.link_stats),
             "queued_reports": self.queued_reports,
             "in_flight_batches": self.in_flight_batches,
-            "retransmit_bytes": self.retransmit.total_bytes,
-            "push_bytes": self.push.total_bytes,
+            "retransmit_bytes": self.meters[RETRANSMIT].total_bytes,
+            "push_bytes": self.meters[PUSH.meter].total_bytes,
             "totals": totals.as_dict(),
             "per_link": {
                 link: stats.as_dict() for link, stats in sorted(self.link_stats.items())

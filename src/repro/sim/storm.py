@@ -8,11 +8,10 @@ deterministic seeded schedule
 sustained target QPS.  Each query's reported latency includes the wire:
 the request/response round trip is costed on the deployment's own
 :class:`~repro.net.transport.NetworkDescriptor` (two propagation
-latencies plus serialization when bandwidth is finite) on top of the
-measured execution wall time — today only *reports* traverse the
-simulated wire, so the query path's wire share is modeled as an
-overlay rather than scheduled traffic, which keeps the storm read-only
-by construction.
+latencies) on top of the measured execution wall time — today only
+*reports* traverse the simulated wire, so the query path's wire share
+is modeled as an overlay rather than scheduled traffic, which keeps the
+storm read-only by construction.
 
 That read-only property is the harness's convergence gate: a storm run
 must leave the :data:`CONVERGENCE_KEYS` sections of the shared
@@ -30,22 +29,13 @@ from random import Random
 from typing import Any
 
 from repro.concurrent.verify import fingerprint
-from repro.model.encoding import encoded_size
 from repro.net.transport import CHAOS_WIRE
-from repro.query.result import QueryStatus
 from repro.query.spec import QuerySpec
 from repro.sim.experiment import generate_stream
 from repro.sim.loadtest import restrict_apis
 from repro.transport import Deployment
 from repro.workloads import WORKLOAD_BUILDERS
 from repro.workloads.queries import QueryWorkload
-
-#: Modeled wire sizes of the query path: the request (a trace id plus
-#: header) and the non-exact responses (an approximate summary, a miss
-#: acknowledgement).  Exact responses cost their encoded trace.
-QUERY_REQUEST_BYTES = 64
-PARTIAL_RESPONSE_BYTES = 256
-MISS_RESPONSE_BYTES = 64
 
 #: The fingerprint sections a storm run must share with its quiet
 #: control.  The ``push`` and ``retransmit`` meters are outside the
@@ -163,8 +153,9 @@ def run_storm(
     )
     targets = Random(f"storm-targets:{seed}")
     net = framework.deployment.network
-    latency_s = net.latency_s if net is not None else 0.0
-    bandwidth = net.bandwidth_bytes_per_s if net is not None else 0.0
+    # The modeled round trip: request out, response back — two
+    # propagation delays.
+    wire_s = 2.0 * (net.latency_s if net is not None else 0.0)
 
     ingested: list[str] = []
     totals: list[float] = []
@@ -179,19 +170,6 @@ def run_storm(
         result = framework.query(trace_id)
         exec_s = time.perf_counter() - started
         exec_total += exec_s
-        if result.status is QueryStatus.EXACT and result.trace is not None:
-            response = encoded_size(result.trace)
-        elif result.status is QueryStatus.PARTIAL:
-            response = PARTIAL_RESPONSE_BYTES
-        else:
-            response = MISS_RESPONSE_BYTES
-        # The modeled round trip: request out, response back.  Two
-        # propagation delays always; serialization only on a
-        # finite-bandwidth wire (0 means infinite, as the descriptor
-        # defines it).
-        wire_s = 2.0 * latency_s
-        if bandwidth > 0:
-            wire_s += (QUERY_REQUEST_BYTES + response) / bandwidth
         wires.append(wire_s)
         totals.append(wire_s + exec_s)
         statuses[str(result.status)] = statuses.get(str(result.status), 0) + 1

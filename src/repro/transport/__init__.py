@@ -3,8 +3,9 @@
 This package is the one seam between the agent/collector fleet and the
 backend(s).  It owns:
 
-* the wire constants and callback types every layer shares
-  (:mod:`repro.transport.wire`);
+* the wire constants and callback types every layer shares, and the
+  traffic-class table — how each kind of traffic is metered, linked
+  and landed (:mod:`repro.transport.wire`);
 * the :class:`BackendPlane` contract both backends implement
   (:mod:`repro.transport.plane`);
 * the :class:`Transport` protocol and the in-process

@@ -3,8 +3,10 @@
 A :class:`Transport` owns both directions of the deployment's network
 and every byte charged on it:
 
-* ``deliver`` — collector -> backend: ships one report, charging its
-  wire size before the backend stores it;
+* ``deliver`` — ships one message of any
+  :class:`~repro.transport.wire.TrafficClass` (collector -> backend
+  reports by default), charging its wire size on the class's meter
+  before it lands on the class's sink;
 * ``notify`` — backend -> collector: charges one control ping (the
   backend plane calls this through its ``notify_meter``).
 
@@ -21,22 +23,15 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
-from repro.obs.trace import NULL_OBSERVER, Observer
+from repro.obs.trace import NULL_INSTRUMENT, NULL_OBSERVER, Observer
 from repro.sim.meters import Meter, OverheadLedger
+from repro.transport.wire import INGEST, NETWORK, RETRANSMIT, TRAFFIC_CLASSES, Sink, TrafficClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.agent.reports import Report
-    from repro.live.subscription import PushNotification
     from repro.transport.plane import BackendPlane
 
 # Simulated-time source for meter timestamps (the framework's clock).
 Clock = Callable[[], float]
-
-# The backend->subscriber delivery callback: called with each arriving
-# push notification and its per-channel message id (None on an
-# exactly-once in-process wire).  Claimed by the live query plane the
-# same way the backend's ``flush_transport`` hook is claimed.
-PushSink = Callable[["PushNotification", "tuple | None"], None]
 
 
 @runtime_checkable
@@ -45,47 +40,30 @@ class Transport(Protocol):
 
     Beyond the two directions of traffic, the framework drives a
     wire's *lifecycle*: ``drain`` before final accounting (and on the
-    retroactive pull), ``retransmit`` / ``stats_summary`` for the
+    retroactive pull), ``meters`` / ``stats_summary`` for the
     redundant-byte and delivery panels.  A synchronous in-process wire
     implements these as no-ops (nothing in flight, no redundancy) —
     they are part of the contract precisely so a transport with real
     in-flight state cannot be silently skipped by the framework.
     """
 
-    # Redundant wire bytes (retransmissions, duplicates); None when the
-    # wire cannot produce any.
-    retransmit: Meter | None
+    # The side meters, by name: ``retransmit`` plus one per traffic
+    # class that stays off the ledgers.  Charged here and never on the
+    # network meter, so the fig02/fig11 byte tables are loss-, reshard-
+    # and subscription-invariant.  A wire that never repeats a byte
+    # reads 0 on ``retransmit``.
+    meters: dict[str, Meter]
 
-    # Reshard traffic (state streamed between shards); charged here and
-    # never on the network meter, so byte tables stay shard-map
-    # invariant — the same separation discipline as ``retransmit``.
-    migration: Meter
+    # Where arrivals land, by ``TrafficClass.sink``.  The transport
+    # fills in the backend; other planes claim their entry with
+    # ``setdefault`` (an explicit sink is never overwritten — the
+    # ``notify_meter`` / ``flush_transport`` discipline).
+    sinks: dict[str, Sink]
 
-    # Growth of the backend's *physical* storage figure (hot bytes at
-    # their charged size plus sealed cold blocks at their compressed
-    # size).  Separate from the ledger's storage meter — which stays
-    # the logical fig11 ruler — so cold-tier compression can never
-    # perturb the byte tables it is measured against.
-    physical_storage: Meter
-
-    # Standing-query push traffic (backend -> subscriber), charged here
-    # and never on the network meter: the fig02/fig11 byte tables must
-    # be subscription-invariant, exactly as they are loss- and
-    # reshard-invariant.
-    push: Meter
-
-    # Where arriving push notifications land (the live query plane's
-    # delivery callback); None until a subscription plane claims it.
-    push_sink: PushSink | None
-
-    def deliver(self, report: "Report") -> None:
-        """Ship one report to the backend, metering its wire size."""
-
-    def deliver_migration(self, report: "Report") -> None:
-        """Ship one resharding report, metered on ``migration`` only."""
-
-    def deliver_push(self, message: "PushNotification") -> None:
-        """Ship one push notification, metered on ``push`` only."""
+    def deliver(self, message, cls: TrafficClass = INGEST) -> None:
+        """Ship one message: charge ``cls``'s meter with its wire size
+        at enqueue time, carry it on ``cls``'s link, land it on
+        ``cls``'s sink — exactly once, in per-link send order."""
 
     def notify(self, node: str, nbytes: int) -> None:
         """Meter one backend->collector control message."""
@@ -113,7 +91,9 @@ class LocalTransport:
     notifications to the shard owning the notified host (that shard's
     frontend sends the ping).  The double bookkeeping that makes
     per-shard MB/min panels comparable to the deployment totals thus
-    lives in one method pair instead of parallel subclass overrides.
+    lives in one method (``_record``) instead of parallel subclass
+    overrides; traffic of the other classes charges its own side meter
+    through the same method and never touches a ledger.
 
     Constructing a transport claims the backend's ``notify_meter`` —
     control-message metering is wire accounting, so it belongs here —
@@ -137,20 +117,14 @@ class LocalTransport:
         self.shard_ledgers = shard_ledgers if shard_ledgers is not None else []
         self._last_storage = 0
         self._last_shard_storage = [0] * len(self.shard_ledgers)
-        # An in-process wire never sends a byte twice.
-        self.retransmit: Meter | None = None
-        # Reshard traffic is metered separately even in-process: moving
-        # a host's state is real work whatever the wire.
-        self.migration = Meter("migration")
-        # The physical side of the storage split (see sync_storage).
-        self.physical_storage = Meter("physical_storage")
         self._last_physical_storage = 0
-        # Standing-query pushes: separate meter, separate sink.  The
-        # sink stays None until a live query plane claims it; a push
-        # sent with no sink is metered and dropped on the floor, which
-        # cannot happen in practice (only the plane sends pushes).
-        self.push = Meter("push")
-        self.push_sink: PushSink | None = None
+        # Side meters exist on every wire — moving a host's state or
+        # pushing a match is real work even in-process — and an
+        # in-process wire, which never sends a byte twice, simply
+        # leaves ``retransmit`` at 0.
+        side = [RETRANSMIT] + [c.meter for c in TRAFFIC_CLASSES if c.meter != NETWORK]
+        self.meters = {name: Meter(name) for name in side}
+        self.sinks: dict[str, Sink] = {INGEST.sink: backend.receive}
         if backend.notify_meter is None:
             backend.notify_meter = self.notify
         self.bind_observer(NULL_OBSERVER)
@@ -162,24 +136,24 @@ class LocalTransport:
         """Attach the observability plane's handle.
 
         Hot-path instruments are cached here, once, so charging a
-        report costs one ``observer.enabled`` check plus a no-op (or
-        counter bump) — never a registry lookup per report.  Reading
-        the instruments never touches the ledgers, so observability on
-        vs off is byte-table-invariant by construction.
+        message costs a no-op (or counter bump) — never a registry
+        lookup per report.  Reading the instruments never touches the
+        ledgers, so observability on vs off is byte-table-invariant by
+        construction.
         """
         self.observer = observer
-        self._obs_reports = observer.counter("mint_transport_reports", plane="transport")
-        self._obs_report_bytes = observer.counter(
-            "mint_transport_report_bytes", plane="transport"
-        )
+        # Per class: (messages counter, bytes counter or the no-op).
+        self._obs_traffic = {
+            cls: (
+                observer.counter(cls.counter, plane="transport"),
+                observer.counter(cls.byte_counter, plane="transport")
+                if cls.byte_counter is not None
+                else NULL_INSTRUMENT,
+            )
+            for cls in TRAFFIC_CLASSES
+        }
         self._obs_notifies = observer.counter(
             "mint_transport_notifies", plane="transport"
-        )
-        self._obs_migration_reports = observer.counter(
-            "mint_transport_migration_reports", plane="transport"
-        )
-        self._obs_push_messages = observer.counter(
-            "mint_transport_push_messages", plane="transport"
         )
         self._obs_deliver_hist = observer.stage_histogram("transport_deliver")
         self._obs_storage_gauge = observer.gauge("mint_storage_bytes", plane="storage")
@@ -190,57 +164,49 @@ class LocalTransport:
     # ------------------------------------------------------------------
     # The wire
     # ------------------------------------------------------------------
-    def deliver(self, report: "Report") -> None:
-        """Collector -> backend: meter the report's size, then store."""
-        self._charge_report(report.node, report.size_bytes(), self._clock())
+    def deliver(self, message, cls: TrafficClass = INGEST) -> None:
+        """Meter the message's size on ``cls``'s meter, then land it.
+
+        In-process delivery is synchronous and exactly-once, so no
+        message id is attached (the sinks' own dedup still applies
+        downstream)."""
+        self._charge(message, cls)
+        sink = self.sinks[cls.sink]
         if self.observer.enabled:
             start = perf_counter()
-            self.backend.receive(report)
+            sink(message, None)
             self._obs_deliver_hist.observe(perf_counter() - start)
         else:
-            self.backend.receive(report)
-
-    def deliver_migration(self, report: "Report") -> None:
-        """Shard -> shard reshard traffic: migration meter only.
-
-        Never charges the network meter or a shard ledger — the
-        fig02/fig11 byte tables must be invariant under resharding,
-        with the movement's cost visible on its own meter, exactly as
-        retransmissions are."""
-        self.migration.record(report.size_bytes(), self.wire_now())
-        self._obs_migration_reports.inc()
-        self.backend.receive(report)
-
-    def deliver_push(self, message: "PushNotification") -> None:
-        """Backend -> subscriber push: ``push`` meter only, synchronous.
-
-        Never charges the network meter or a shard ledger — the
-        fig02/fig11 byte tables must be subscription-invariant, with
-        the push plane's cost visible on its own meter, exactly as
-        migration traffic is.  In-process delivery is exactly-once, so
-        no message id is attached (the subscription's own
-        per-(subscription, trace) dedup still applies downstream).
-        """
-        self.push.record(message.size_bytes(), self.wire_now())
-        self._obs_push_messages.inc()
-        if self.push_sink is not None:
-            self.push_sink(message, None)
+            sink(message, None)
 
     def wire_now(self) -> float:
         """The wire's clock (the caller's clock on an in-process wire)."""
         return self._clock()
 
-    def _charge_report(self, node: str, size: int, now: float) -> None:
-        """The single charging site for the collector->backend
-        direction: deployment ledger plus the owning shard's ledger.
-        Every transport (local or simulated-network) must charge
-        through here, or the byte tables drift between wires."""
-        self.ledger.network.record(size, now)
+    def _charge(self, message, cls: TrafficClass) -> tuple[str, int]:
+        """The single charging site of ``deliver``, on every wire: size
+        the message once, charge ``cls``'s meter now — the instant the
+        sender commits the bytes, whatever the wire then does with them
+        — and count it.  Returns the message's link and size."""
+        key = getattr(message, cls.link_key)
+        size = message.size_bytes()
+        self._record(cls.meter, key, size, self._clock())
+        messages, nbytes = self._obs_traffic[cls]
+        messages.inc()
+        nbytes.inc(size)
+        return cls.link_prefix + key, size
+
+    def _record(self, meter: str, node: str, nbytes: int, now: float) -> None:
+        """Charge one meter.  ``NETWORK`` is the deployment ledger plus
+        the ledger of the shard owning ``node``; any other name is a
+        side meter.  Every transport (local or simulated-network) must
+        charge through here, or the byte tables drift between wires."""
+        if meter != NETWORK:
+            self.meters[meter].record(nbytes, now)
+            return
+        self.ledger.network.record(nbytes, now)
         if self.shard_ledgers:
-            self._shard_ledger(self.backend.shard_for(node)).network.record(size, now)
-        if self.observer.enabled:
-            self._obs_reports.inc()
-            self._obs_report_bytes.inc(size)
+            self._shard_ledger(self.backend.shard_for(node)).network.record(nbytes, now)
 
     def _shard_ledger(self, shard: int) -> OverheadLedger:
         """The shard's ledger, grown on demand for elastic scale-ups.
@@ -255,20 +221,8 @@ class LocalTransport:
 
     def notify(self, node: str, nbytes: int) -> None:
         """Backend -> collector: meter one control ping toward ``node``."""
-        now = self._clock()
-        self.ledger.network.record(nbytes, now)
-        if self.shard_ledgers:
-            self._shard_ledger(self.backend.shard_for(node)).network.record(
-                nbytes, now
-            )
+        self._record(NETWORK, node, nbytes, self._clock())
         self._obs_notifies.inc()
-
-    def __call__(self, report: "Report") -> None:
-        """Bare-callable compatibility: a transport can stand wherever
-        a ``ReportSender`` (plain report callable) is expected.
-        Dispatches through ``self.deliver`` so subclasses overriding
-        the delivery path are honoured."""
-        self.deliver(report)
 
     def drain(self) -> None:
         """In-process delivery is synchronous; nothing is in flight."""
@@ -296,17 +250,14 @@ class LocalTransport:
         if current > self._last_storage:
             self.ledger.storage.record(current - self._last_storage, now)
             self._last_storage = current
-        # The physical split rides the same seam: monotonic growth of
-        # what the store compressedly holds.  Compaction *shrinks* the
-        # figure — the meter keeps its high-water mark and the live
-        # value is read from the backend — so the ledger's logical
-        # storage meter and byte tables never see the cold tier at all.
-        physical = self.backend.physical_storage_bytes()
-        if physical > self._last_physical_storage:
-            self.physical_storage.record(
-                physical - self._last_physical_storage, now
-            )
-            self._last_physical_storage = physical
+        # The physical split rides the same seam, as a high-water mark
+        # of what the store compressedly holds (compaction *shrinks*
+        # the figure; the live value is read from the backend) — so
+        # the ledger's logical storage meter and byte tables never see
+        # the cold tier at all.
+        self._last_physical_storage = max(
+            self._last_physical_storage, self.backend.physical_storage_bytes()
+        )
         if self.shard_ledgers:
             for i, shard in enumerate(self.backend.shards):
                 ledger = self._shard_ledger(i)

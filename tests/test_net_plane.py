@@ -385,7 +385,7 @@ class TestNetTransport:
         transport.deliver(report)
         assert "1" * 32 in backend.storage.params
         assert ledger.network.per_minute_series() == [(2, report.size_bytes())]
-        assert transport.retransmit.total_bytes == 0
+        assert transport.meters["retransmit"].total_bytes == 0
         assert transport.queued_reports == 0 and transport.in_flight_batches == 0
 
     def test_claims_notify_meter_like_local_transport(self):
@@ -470,7 +470,7 @@ class TestNetTransport:
         assert ledger.network.total_bytes == sum(r.size_bytes() for r in reports)
         stats = transport.link_stats["node-0"]
         assert stats.dropped > 0 and stats.retransmits > 0
-        assert transport.retransmit.total_bytes > 0
+        assert transport.meters["retransmit"].total_bytes > 0
 
     def test_partition_defers_delivery_until_the_window_lifts(self):
         profile = ChaosProfile("split", partitions=(PartitionWindow(0.0, 10.0),))
@@ -494,7 +494,7 @@ class TestNetTransport:
         assert len(backend.storage.params) == 10
         stats = transport.link_stats["node-0"]
         assert stats.duplicated == 10
-        assert transport.retransmit.total_bytes > 0
+        assert transport.meters["retransmit"].total_bytes > 0
 
     def test_per_link_isolation_and_stats(self):
         backend, _, transport, _ = self._transport(max_batch_reports=2)

@@ -13,10 +13,14 @@ import pytest
 
 from repro.agent.agent import MintAgent
 from repro.agent.collector import MintCollector
+from repro.agent.config import MintConfig
 from repro.agent.reports import ParamsReport
 from repro.backend.backend import MintBackend
 from repro.backend.sharded import ShardedBackend
 from repro.framework import MintFramework
+from repro.net.chaos import CHAOS_PROFILES
+from repro.net.transport import CHAOS_WIRE, NetworkDescriptor
+from repro.obs.trace import Observer
 from repro.sim.meters import OverheadLedger
 from repro.transport import (
     NOTIFY_MESSAGE_BYTES,
@@ -25,6 +29,7 @@ from repro.transport import (
     LocalTransport,
     Transport,
 )
+from repro.transport.wire import NETWORK, RETRANSMIT, TRAFFIC_CLASSES
 from tests.conftest import make_chain_trace
 
 
@@ -88,13 +93,13 @@ class TestLocalTransport:
         assert ledger.network.per_minute_series() == [(2, report.size_bytes())]
         assert "1" * 32 in backend.storage.params
 
-    def test_satisfies_transport_protocol_and_call(self):
+    def test_satisfies_transport_protocol(self):
         backend = MintBackend()
         transport = LocalTransport(backend, OverheadLedger())
         assert isinstance(transport, Transport)
-        # Bare-callable compatibility for ReportSender call sites.
-        transport(self._report())
-        assert "1" * 32 in backend.storage.params
+        # The one delivery verb: no per-class method, no bare call.
+        assert not callable(transport)
+        assert [name for name in dir(transport) if name.startswith("deliver")] == ["deliver"]
 
     def test_claims_backend_notify_meter(self):
         backend = MintBackend()
@@ -118,18 +123,6 @@ class TestLocalTransport:
         backend.notify_sampled("2" * 32, origin_node="elsewhere")
         assert charges == [("node-1", NOTIFY_MESSAGE_BYTES)]
         assert ledger.network.total_bytes == 0
-
-    def test_call_dispatches_through_deliver_overrides(self):
-        delivered: list = []
-
-        class Recording(LocalTransport):
-            def deliver(self, report):
-                delivered.append(report)
-                super().deliver(report)
-
-        transport = Recording(MintBackend(), OverheadLedger())
-        transport(self._report())
-        assert len(delivered) == 1
 
     def test_sharded_double_bookkeeping(self):
         backend = ShardedBackend(num_shards=2)
@@ -167,6 +160,103 @@ class TestLocalTransport:
         assert first == backend.storage_bytes() > 0
         transport.sync_storage()  # no growth -> no extra charge
         assert ledger.storage.total_bytes == first
+
+
+class _Message:
+    """A message of any class: carries the class's link key, counts sizings."""
+
+    def __init__(self, cls, key: str, size: int) -> None:
+        setattr(self, cls.link_key, key)
+        self.size = size
+        self.sized = 0
+
+    def size_bytes(self) -> int:
+        self.sized += 1
+        return self.size
+
+
+WIRES = {
+    "local": None,
+    "net-lossless": NetworkDescriptor.lossless(),
+    # Seed chosen so a drop lands among this test's few batches.
+    "net-chaos-drop": CHAOS_WIRE.with_chaos(CHAOS_PROFILES["drop"], seed=4),
+}
+
+
+@pytest.mark.parametrize("wire", WIRES)
+@pytest.mark.parametrize("cls", TRAFFIC_CLASSES, ids=lambda cls: cls.meter)
+def test_every_traffic_class_crosses_the_one_verb(cls, wire):
+    """The class table's contract, for every row x every wire: one
+    sizing, one meter (stamped at enqueue time), the ledgers for the
+    ledger class only, autoscaler visibility, and exactly-once in-order
+    arrival on the class's sink."""
+    deployment = Deployment.sharded(2, network=WIRES[wire])
+    backend = deployment.build_backend(MintConfig())
+    ledger, shard_ledgers, clock = OverheadLedger(), [OverheadLedger(), OverheadLedger()], [0.0]
+    transport = deployment.build_transport(
+        backend, ledger, clock=lambda: clock[0], shard_ledgers=shard_ledgers
+    )
+    observer = Observer()
+    transport.bind_observer(observer)
+    arrivals: list[tuple] = []
+    transport.sinks[cls.sink] = lambda message, message_id: arrivals.append((message, message_id))
+
+    # Two links, two enqueue minutes (2 and 3), sizes all distinct.
+    sent = {130.0: [], 190.0: []}
+    for now, batch in sent.items():
+        clock[0] = now
+        for i in range(12):
+            message = _Message(cls, f"key-{i % 2}", 100 + len(batch) + int(now))
+            batch.append(message)
+            transport.deliver(message, cls)
+    messages = [m for batch in sent.values() for m in batch]
+    total = sum(m.size for m in messages)
+    assert all(m.sized == 1 for m in messages)
+
+    # Only this class's meter moved, by the summed sizes, in the enqueue
+    # minutes — before the wire has necessarily delivered anything.
+    meters = {NETWORK: ledger.network, **transport.meters}
+    assert meters[cls.meter].per_minute_series() == [
+        (int(now // 60), sum(m.size for m in batch)) for now, batch in sent.items()
+    ]
+    others = {name: m.total_bytes for name, m in meters.items() if name != cls.meter}
+    if wire == "net-chaos-drop":
+        others.pop(RETRANSMIT, None)  # the wire's own meter, whatever it carries
+    assert not any(others.values()), others
+    on_shards = sum(sl.network.total_bytes for sl in shard_ledgers)
+    assert on_shards == (total if cls.meter == NETWORK else 0)
+
+    # The autoscaler's signal shows the class's backlog or nothing.
+    queued = getattr(transport, "queued_reports", 0)
+    assert bool(queued) == (wire == "net-chaos-drop")
+    depths = transport.queue_depths()
+    assert sum(depths.values()) == (queued if cls.autoscaled else 0)
+    assert all(link.startswith(cls.link_prefix + "key-") for link in depths)
+
+    transport.drain()
+    assert transport.queue_depths() == {}
+    # Exactly once, in per-link send order, on the class's sink.
+    for key in ("key-0", "key-1"):
+        on_link = [(m, mid) for m, mid in arrivals if getattr(m, cls.link_key) == key]
+        assert [m for m, _ in on_link] == [
+            m for m in messages if getattr(m, cls.link_key) == key
+        ]
+        ids = [mid for _, mid in on_link]
+        if wire == "local":
+            assert ids == [None] * len(ids)
+        else:
+            assert ids == sorted(set(ids)) and {mid[0] for mid in ids} == {cls.link_prefix + key}
+    assert len(arrivals) == len(messages)
+    if wire == "net-chaos-drop":
+        assert transport.meters[RETRANSMIT].total_bytes > 0  # the chaos fired
+
+    counters = observer.snapshot()["counters"]
+    for other in TRAFFIC_CLASSES:
+        expected = len(messages) if other is cls else 0
+        assert counters[f'{other.counter}{{plane="transport"}}'] == expected, other.counter
+    if cls.byte_counter is not None:
+        assert counters[f'{cls.byte_counter}{{plane="transport"}}'] == total
+    assert meters[cls.meter].total_bytes == total  # nothing charged at arrival
 
 
 class TestBackendPlaneContract:
