@@ -41,9 +41,6 @@ DOCTORED = {
     "obs": (("panel", FIRST, "detected"), False),
     "live": (("storm", "converged"), False),
 }
-# The committed concurrent run is flat (recorded on 1 vCPU); keep its
-# speedup gate unarmed whatever machine runs this test.
-EXTRA_ARGV = {"concurrent": ["--min-cores", "4096"]}
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +87,7 @@ def test_check_and_exit_code_follow_the_report(runner, suite, tmp_path, monkeypa
     module = runner.SUITES[suite]
     clean = committed_body(suite)
     doctored = plant(clean, *DOCTORED[suite])
-    argv = [suite, "--check", "--output", str(tmp_path / "out.json"), *EXTRA_ARGV.get(suite, [])]
+    argv = [suite, "--check", "--output", str(tmp_path / "out.json")]
 
     monkeypatch.setattr(module, "measure", lambda args: copy.deepcopy(clean))
     assert runner.main(argv) == 0
