@@ -47,10 +47,10 @@ from repro.compression import (
     LogZipCompressor,
     corpus_raw_bytes,
 )
-from repro.concurrent.verify import byte_tables
 from repro.framework import MintFramework
 from repro.model.trace import Trace
 from repro.sim.experiment import drive
+from repro.verify import byte_tables
 from repro.workloads import WORKLOAD_BUILDERS
 
 DEFAULTS = {"traces": 400, "warmup_traces": 100, "workloads": list(WORKLOAD_BUILDERS)}

@@ -7,7 +7,7 @@ The same topology at ``workers=0`` — the classic single-threaded loop —
 is the reference: spans/sec ratios give the scaling curve, and the
 reference's fingerprint (byte tables, meter series, shard ledgers,
 query signature, stored-trace set; see
-:mod:`repro.concurrent.verify`) is the oracle every parallel run must
+:mod:`repro.verify`) is the oracle every parallel run must
 match bit for bit.
 
 ``--check`` gates: no parallel run diverges from its sequential
@@ -21,18 +21,17 @@ otherwise), process lanes scale with physical cores, and a 2-vCPU
 shared runner cannot exhibit 4-way parallelism — a gate that ignored
 that would only test the scheduler.  Elapsed seconds, spans/sec and
 speedups live in the ``timing`` section (:data:`WALL_CLOCK`), which
-``run.py`` leaves out of the committed ``BENCH_concurrent.json``
-together with the environment block; every report an explicit
-``--output`` writes records ``cpu_count`` beside them.
+``run.py`` leaves out of the committed ``BENCH_concurrent.json``; an
+explicit ``--output`` records ``cpu_count`` beside them.
 """
 
 from __future__ import annotations
 
 from common import best_of, build_stream, per_second, span_count
 
-from repro.concurrent.verify import compare_fingerprints, fingerprint
 from repro.framework import MintFramework
 from repro.transport import Deployment
+from repro.verify import compare_fingerprints, fingerprint
 
 DEFAULTS = {
     "traces": 400,
@@ -116,9 +115,7 @@ def measure_concurrent(
 
         def cell(mode: str, workers: int, elapsed: float, speedup: float) -> None:
             key = {"topology": topology, "mode": mode, "workers": workers}
-            cells.append(
-                {**key, "workload": workload_name, "traces": len(stream), "spans": spans}
-            )
+            cells.append({**key, "workload": workload_name, "traces": len(stream), "spans": spans})
             timings.append(
                 {
                     **key,

@@ -44,7 +44,6 @@ from typing import Any
 
 from common import build_stream, only_workload
 
-from repro.concurrent.verify import compare_fingerprints, fingerprint
 from repro.framework import MintFramework
 from repro.net.chaos import CHAOS_PROFILES
 from repro.net.transport import CHAOS_WIRE
@@ -52,6 +51,7 @@ from repro.query.spec import QuerySpec
 from repro.sim.experiment import drive
 from repro.sim.storm import CONVERGENCE_KEYS, run_storm
 from repro.transport import Deployment
+from repro.verify import compare_fingerprints, fingerprint
 
 # Deployment factories for the identity sweep — the acceptance gate's
 # three: single in-process, sharded, and single behind a *lossy* wire

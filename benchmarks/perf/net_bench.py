@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from common import best_of, build_stream, per_second, span_count
 
-from repro.concurrent.verify import compare_fingerprints, fingerprint
 from repro.framework import MintFramework
 from repro.net.chaos import CHAOS_PROFILES, ChaosProfile, fit_partitions
 from repro.net.transport import CHAOS_WIRE, NetworkDescriptor
 from repro.transport import Deployment
+from repro.verify import compare_fingerprints, fingerprint
 from repro.workloads import WORKLOAD_BUILDERS
 
 DEFAULTS = {

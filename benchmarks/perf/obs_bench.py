@@ -43,7 +43,6 @@ from typing import Any
 
 from common import best_of, build_stream, only_workload, span_count
 
-from repro.concurrent.verify import compare_fingerprints, fingerprint
 from repro.framework import MintFramework
 from repro.net.transport import CHAOS_WIRE
 from repro.obs import deterministic_report
@@ -54,6 +53,7 @@ from repro.sim.incident import (
     detection_latency_panel,
 )
 from repro.transport import Deployment
+from repro.verify import compare_fingerprints, fingerprint
 
 # Deployment factories for the identity sweep, parameterised on the
 # observability switch: plain single, sharded, and single behind a

@@ -51,13 +51,13 @@ from typing import Any
 from common import per_second
 
 from repro.analysis.metrics import hit_breakdown
-from repro.concurrent.verify import byte_tables
 from repro.framework import MintFramework
 from repro.model.trace import Trace
 from repro.net.transport import NetworkDescriptor
 from repro.query.result import QueryResult
 from repro.sim.experiment import drive, generate_stream
 from repro.transport import Deployment
+from repro.verify import byte_tables
 from repro.workloads import WORKLOAD_BUILDERS
 from repro.workloads.queries import QueryWorkload, TraceRecord, incident_window_spec
 

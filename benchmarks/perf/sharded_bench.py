@@ -6,7 +6,7 @@ given shard count, wall-clocked end to end.  The single-backend
 :class:`~repro.framework.MintFramework` run over the
 same stream is the reference: spans/sec ratios give the merge layer's
 overhead (or benefit), and the reference's fingerprint
-(:mod:`repro.concurrent.verify`) is the invariance oracle every sharded
+(:mod:`repro.verify`) is the invariance oracle every sharded
 run is checked against.
 
 Unlike ``ingest_bench`` (agent hot path only), this measures the
@@ -27,9 +27,9 @@ from __future__ import annotations
 from common import best_of, build_stream, per_second, span_count
 
 from repro.analysis.metrics import hit_breakdown
-from repro.concurrent.verify import compare_fingerprints, fingerprint
 from repro.framework import MintFramework
 from repro.transport import Deployment
+from repro.verify import compare_fingerprints, fingerprint
 from repro.workloads import WORKLOAD_BUILDERS
 
 DEFAULTS = {

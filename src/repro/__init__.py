@@ -34,7 +34,8 @@ plane: specs, planner, cursors, the one result model),
 :mod:`repro.workloads` (OnlineBoutique, TrainTicket, Alibaba datasets),
 :mod:`repro.sim` (meters, experiment and load-test harnesses),
 :mod:`repro.transport` (the deployment plane), :mod:`repro.net` (the
-simulated network plane: batching, chaos, reliable delivery).
+simulated network plane: batching, chaos, reliable delivery),
+:mod:`repro.verify` (the identity oracle every bit-identity gate diffs).
 """
 
 from repro.agent.config import MintConfig

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable
 
 
 def optimal_bit_count(expected_insertions: int, false_positive_probability: float) -> int:
@@ -83,11 +82,6 @@ class BloomFilter:
 
     def __len__(self) -> int:
         return self._inserted
-
-    def _positions(self, item: str) -> Iterable[int]:
-        h1, h2 = _digest_pair(item)
-        for i in range(self.hash_count):
-            yield (h1 + i * h2) % self.bit_count
 
     def add(self, item: str) -> None:
         """Insert ``item``; afterwards ``item in self`` is always True."""

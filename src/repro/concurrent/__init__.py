@@ -16,9 +16,10 @@ Layout:
 * :mod:`repro.concurrent.plane` — the :class:`ParallelIngestPlane`
   single-writer orchestrator and its collector proxies;
 * :mod:`repro.concurrent.snapshot` — read-only published pattern-plane
-  snapshots (RCU-style: readers never see a half-applied epoch);
-* :mod:`repro.concurrent.verify` — the invariance oracle shared by the
-  benchmark gate, the test suite and the sim harness.
+  snapshots (RCU-style: readers never see a half-applied epoch).
+
+Worker-count invariance is checked against the system-wide identity
+oracle, :mod:`repro.verify`, which this package does not own.
 """
 
 from repro.concurrent.lanes import LaneError, ProcessLane, ThreadLane, make_lane

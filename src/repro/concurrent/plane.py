@@ -373,25 +373,6 @@ class ParallelIngestPlane:
         """Discovered nodes, registration order."""
         return list(self._proxies)
 
-    def lane_of(self, node: str) -> int | None:
-        """Which lane owns ``node`` (None before discovery)."""
-        proxy = self._proxies.get(node)
-        return proxy.lane_index if proxy is not None else None
-
-    def worker_library_stats(self, node: str) -> dict | None:
-        """Introspect the owning lane's agent libraries for ``node``.
-
-        Test/diagnostic hook: returns the lane-side interned pattern
-        ids, or None when the node is unknown.  Quiesce first for a
-        stable answer mid-run.
-        """
-        proxy = self._proxies.get(node)
-        if proxy is None:
-            return None
-        lane = self._lanes[proxy.lane_index]
-        lane.post(("introspect", node))
-        return lane.collect()[1]
-
     # ------------------------------------------------------------------
     # Published pattern plane
     # ------------------------------------------------------------------

@@ -29,7 +29,6 @@ Command protocol (tuples; first element is the op):
                                 ``(order, node)``; reply as ``mark``
 ``("pull", node, trace_id)``    retroactive parameter pull; reply
                                 ``("pull", buffered, reports)``
-``("introspect", node)``        reply ``("library", stats-or-None)``
 ``("stop",)``                   reply ``("bye",)`` and exit
 ==============================  =======================================
 
@@ -58,7 +57,7 @@ SamplerFactory = Callable[[], Sampler]
 #: Ops that must produce exactly one reply on the lane's outbound
 #: channel.  Everything else is fire-and-forget: per-lane FIFO ordering
 #: of the inbound channel is the only synchronisation those need.
-REPLYING_COMMANDS = frozenset({"barrier", "mark", "flush", "pull", "introspect", "stop"})
+REPLYING_COMMANDS = frozenset({"barrier", "mark", "flush", "pull", "stop"})
 
 
 class ReportRecorder:
@@ -225,18 +224,3 @@ class AgentWorkerState:
             self._recorder.begin(out, (0,))
             buffered = collector.request_params(trace_id)
         return ("pull", buffered, out)
-
-    def _cmd_introspect(self, node: str) -> tuple:
-        collector = self._collectors.get(node)
-        if collector is None:
-            return ("library", None)
-        agent = collector.agent
-        return (
-            "library",
-            {
-                "node": node,
-                "span_pattern_ids": agent.span_parser.library.snapshot(),
-                "topo_pattern_ids": agent.trace_parser.library.snapshot(),
-                "sampled_traces": len(collector.sampled_trace_ids),
-            },
-        )

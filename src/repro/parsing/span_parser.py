@@ -526,9 +526,9 @@ class SpanPatternLibrary:
     def snapshot(self) -> tuple[str, ...]:
         """Immutable view of the interned pattern ids, insertion order.
 
-        The cheap identity summary the concurrent plane's introspection
-        and the cross-worker interning property tests compare: ids are
-        content hashes, so equal id tuples mean equal libraries.
+        The cheap identity summary the cross-worker interning property
+        tests compare: ids are content hashes, so equal id tuples mean
+        equal libraries.
         """
         return tuple(self._patterns)
 
@@ -843,15 +843,6 @@ class SpanParser:
             instance_dict["_size_plan"] = size_info
         parsed.__dict__ = instance_dict
         return parsed
-
-    def parse_many(
-        self, spans: Iterable[Span], observe_ranges: bool = True
-    ) -> list[ParsedSpan]:
-        """Parse a batch of raw spans (same results as looped
-        :meth:`parse`; the per-operation parser caches make repeated
-        shapes in the batch cost dict lookups only)."""
-        parse = self.parse
-        return [parse(span, observe_ranges) for span in spans]
 
     def _scope(self, span: Span, key: str) -> str:
         """Parser scope: per (service, operation, key) by default."""

@@ -168,9 +168,9 @@ class TopoPatternLibrary:
     def snapshot(self) -> tuple[str, ...]:
         """Immutable view of the interned pattern ids, insertion order.
 
-        Content-hashed ids make this a full identity summary — the
-        concurrent plane's worker introspection compares these tuples
-        across lanes without shipping the pattern objects."""
+        Content-hashed ids make this a full identity summary: equal
+        tuples mean equal libraries, compared without the pattern
+        objects."""
         return tuple(self._patterns)
 
     def size_bytes(self) -> int:

@@ -33,41 +33,6 @@ def ochiai(counts: SpectrumCounts) -> float:
     return counts.ef / denominator
 
 
-def collect_counts(
-    views: Iterable[TraceView],
-    weights: dict[str, float] | None = None,
-) -> dict[str, SpectrumCounts]:
-    """Per-service spectrum counts over a set of trace views.
-
-    ``weights`` optionally weights each trace's contribution (MicroRank
-    feeds PageRank scores here); default weight is 1.
-    """
-    weights = weights or {}
-    counts: dict[str, SpectrumCounts] = {}
-    all_services: set[str] = set()
-    materialised = list(views)
-    for view in materialised:
-        all_services.update(view.services)
-    for service in all_services:
-        counts[service] = SpectrumCounts()
-    for view in materialised:
-        weight = weights.get(view.trace_id, 1.0)
-        covered = view.services
-        for service in all_services:
-            c = counts[service]
-            if view.is_abnormal:
-                if service in covered:
-                    c.ef += weight
-                else:
-                    c.nf += weight
-            else:
-                if service in covered:
-                    c.ep += weight
-                else:
-                    c.np += weight
-    return counts
-
-
 def duration_baselines(
     views: Iterable[TraceView],
 ) -> dict[tuple[str, str, str], tuple[float, float]]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.concurrent.verify import compare_fingerprints, fingerprint, query_signature
 from repro.elastic.autoscale import AutoscalePolicy, Autoscaler
 from repro.elastic.chaos import SHARD_CHAOS_PROFILES, ShardChaosProfile, fit_outages
 from repro.elastic.reshard import ReshardCoordinator, placement_violations
@@ -34,6 +33,7 @@ from repro.query.result import QueryStatus
 from repro.sim.experiment import drive, generate_stream
 from repro.sim.loadtest import LoadTestSpec, _load_test_traces, restrict_apis
 from repro.transport import Deployment
+from repro.verify import compare_fingerprints, fingerprint, query_signature
 from repro.workloads.specs import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -12,19 +12,15 @@ and memory is the framework's resident tracing state.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.baselines.base import TracingFramework
 from repro.framework import MintFramework
 from repro.model.encoding import encoded_size
+from repro.obs.metrics import LatencyStats
 from repro.sim.experiment import drive, generate_stream
-from repro.transport import Deployment
 from repro.workloads.specs import Workload
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.chaos import ChaosProfile
-    from repro.net.transport import NetworkDescriptor
 
 
 @dataclass(frozen=True)
@@ -71,9 +67,9 @@ class LoadTestResult:
 def _load_test_traces(spec: LoadTestSpec, duration_minutes: float, scale: float) -> int:
     """Trace count for one load test — the single copy of the sizing
     formula (``scale`` shrinks runs to laptop size while preserving the
-    qps ratios between tests); the chaos harness derives the stream's
-    simulated duration from the same number, so the two can never
-    drift."""
+    qps ratios between tests); :func:`~repro.sim.elastic.run_elastic_load_test`
+    derives the stream's simulated duration from the same number, so
+    the two can never drift."""
     return max(20, int(spec.qps * 60 * duration_minutes * scale / 10))
 
 
@@ -117,23 +113,6 @@ def run_load_test(
     the request count so the full 14-test sweep stays laptop-sized
     while preserving the qps ratios between tests.
     """
-    result, _ = _run_load_test_instrumented(
-        spec, workload, factory, replica, duration_minutes, scale, seed
-    )
-    return result
-
-
-def _run_load_test_instrumented(
-    spec: LoadTestSpec,
-    workload: Workload,
-    factory: Callable[[], TracingFramework] | None,
-    replica: str,
-    duration_minutes: float = 1.0,
-    scale: float = 0.1,
-    seed: int = 21,
-) -> tuple[LoadTestResult, TracingFramework | None]:
-    """Like :func:`run_load_test` but hands back the driven framework,
-    so callers can read framework-specific meters (per-shard ledgers)."""
     limited = restrict_apis(workload, spec.api_count)
     num_traces = _load_test_traces(spec, duration_minutes, scale)
     stream, _ = generate_stream(
@@ -145,210 +124,38 @@ def _run_load_test_instrumented(
     )
     ingress = sum(encoded_size(trace) for _, trace in stream)
     if factory is None:
-        return (
-            LoadTestResult(
-                test=spec.name,
-                replica=replica,
-                ingress_bytes=ingress,
-                egress_bytes=0,
-                cpu_seconds=0.0,
-                memory_bytes=0,
-                request_latency_overhead_ms=0.0,
-            ),
-            None,
+        return LoadTestResult(
+            test=spec.name,
+            replica=replica,
+            ingress_bytes=ingress,
+            egress_bytes=0,
+            cpu_seconds=0.0,
+            memory_bytes=0,
+            request_latency_overhead_ms=0.0,
         )
     framework = factory()
     cpu = drive(framework, stream)
     total_spans = sum(len(trace.spans) for _, trace in stream)
     per_span_ms = (cpu / max(1, total_spans)) * 1000.0
-    return (
-        LoadTestResult(
-            test=spec.name,
-            replica=replica,
-            ingress_bytes=ingress,
-            egress_bytes=framework.network_bytes,
-            cpu_seconds=cpu,
-            memory_bytes=tracing_memory_bytes(framework),
-            request_latency_overhead_ms=per_span_ms,
-        ),
-        framework,
+    return LoadTestResult(
+        test=spec.name,
+        replica=replica,
+        ingress_bytes=ingress,
+        egress_bytes=framework.network_bytes,
+        cpu_seconds=cpu,
+        memory_bytes=tracing_memory_bytes(framework),
+        request_latency_overhead_ms=per_span_ms,
     )
-
-
-@dataclass
-class ShardedLoadTestResult:
-    """One Fig. 14-style load test against the sharded collection plane.
-
-    ``overall`` is comparable 1:1 with a single-backend
-    :class:`LoadTestResult`; ``shard_egress_bytes`` /
-    ``shard_storage_bytes`` split the same run by owning shard
-    (physical bytes — summed shard storage exceeds the overall figure
-    by exactly ``replicated_pattern_bytes``).
-    """
-
-    overall: LoadTestResult
-    num_shards: int
-    shard_egress_bytes: list[int] = field(default_factory=list)
-    shard_storage_bytes: list[int] = field(default_factory=list)
-    replicated_pattern_bytes: int = 0
-
-
-def run_sharded_load_test(
-    spec: LoadTestSpec,
-    workload: Workload,
-    num_shards: int,
-    duration_minutes: float = 1.0,
-    scale: float = 0.1,
-    seed: int = 21,
-    auto_warmup_traces: int = 30,
-    deployment: Deployment | None = None,
-) -> ShardedLoadTestResult:
-    """Drive one load test against Mint fanned over ``num_shards``.
-
-    The replica name carries the shard count (``Mint x4``) so sweeps
-    at 1/2/4/8 shards report side by side.  ``deployment`` overrides
-    the default ``Deployment.sharded(num_shards)`` descriptor (it must
-    still describe a sharded topology with ``num_shards`` shards).
-    """
-    if deployment is None:
-        deployment = Deployment.sharded(num_shards)
-    result, framework = _run_load_test_instrumented(
-        spec,
-        workload,
-        lambda: MintFramework(
-            deployment=deployment, auto_warmup_traces=auto_warmup_traces
-        ),
-        f"Mint x{num_shards}",
-        duration_minutes,
-        scale,
-        seed,
-    )
-    assert isinstance(framework, MintFramework) and framework.deployment.is_sharded
-    rows = framework.shard_meter_rows()
-    return ShardedLoadTestResult(
-        overall=result,
-        num_shards=num_shards,
-        shard_egress_bytes=[row.network_bytes for row in rows],
-        shard_storage_bytes=[row.storage_bytes for row in rows],
-        replicated_pattern_bytes=framework.backend.merged.replicated_pattern_bytes(),
-    )
-
-
-@dataclass
-class NetLoadTestResult:
-    """One load test over the simulated network plane.
-
-    ``overall`` is comparable 1:1 with the in-process replicas'
-    :class:`LoadTestResult` (egress is charged at the wire identically,
-    so lossy runs report the same egress as lossless ones);
-    ``retransmit_bytes`` and ``delivery`` carry the wire's own story —
-    redundant bytes, drop/duplicate/retransmission counts, queue
-    depths, per-link latency percentiles.
-    """
-
-    overall: LoadTestResult
-    profile: str
-    retransmit_bytes: int = 0
-    delivery: dict = field(default_factory=dict)
-
-
-# The chaos load scenarios: each pairs a Fig. 14 load shape with one
-# failure mode, so the sweep exercises loss under high qps, duplication
-# under API variety, jitter at sustained load, and a mid-run partition.
-CHAOS_SCENARIOS: tuple[tuple[str, LoadTestSpec, str], ...] = (
-    ("drop@T5", FIG14_LOAD_TESTS[4], "drop"),
-    ("duplicate@T9", FIG14_LOAD_TESTS[8], "duplicate"),
-    ("delay@T3", FIG14_LOAD_TESTS[2], "delay"),
-    ("partition@T12", FIG14_LOAD_TESTS[11], "partition"),
-)
-
-
-def run_net_load_test(
-    spec: LoadTestSpec,
-    workload: Workload,
-    profile: "ChaosProfile | None" = None,
-    network: "NetworkDescriptor | None" = None,
-    num_shards: int = 0,
-    duration_minutes: float = 1.0,
-    scale: float = 0.1,
-    seed: int = 21,
-    auto_warmup_traces: int = 30,
-) -> NetLoadTestResult:
-    """Drive one load test over the simulated network plane.
-
-    ``profile`` of None runs the lossless default wire; otherwise the
-    profile is injected into ``network`` (a batching wire by default)
-    with its partition windows fitted to the stream's duration.  The
-    replica name carries both the load shape and the wire, so chaos
-    sweeps report side by side with the in-process replicas.
-    """
-    from repro.net.chaos import LOSSLESS, fit_partitions
-    from repro.net.transport import CHAOS_WIRE
-
-    if network is None:
-        network = CHAOS_WIRE
-    chaos = profile if profile is not None else LOSSLESS
-    num_traces = _load_test_traces(spec, duration_minutes, scale)
-    chaos = fit_partitions(chaos, num_traces / spec.qps)
-    descriptor = network.with_chaos(chaos, seed=seed)
-    deployment = Deployment(num_shards=num_shards, network=descriptor)
-    result, framework = _run_load_test_instrumented(
-        spec,
-        workload,
-        lambda: MintFramework(
-            deployment=deployment, auto_warmup_traces=auto_warmup_traces
-        ),
-        f"Mint {descriptor.describe()}",
-        duration_minutes,
-        scale,
-        seed,
-    )
-    assert isinstance(framework, MintFramework)
-    return NetLoadTestResult(
-        overall=result,
-        profile=chaos.name,
-        retransmit_bytes=framework.retransmit_bytes,
-        delivery=framework.net_stats() or {},
-    )
-
-
-def run_chaos_load_tests(
-    workload: Workload,
-    scenarios: tuple[tuple[str, LoadTestSpec, str], ...] = CHAOS_SCENARIOS,
-    duration_minutes: float = 1.0,
-    scale: float = 0.1,
-    seed: int = 21,
-    auto_warmup_traces: int = 30,
-) -> dict[str, NetLoadTestResult]:
-    """Run the standard chaos scenario sweep; keyed by scenario name."""
-    from repro.net.chaos import CHAOS_PROFILES
-
-    results: dict[str, NetLoadTestResult] = {}
-    for name, spec, profile_key in scenarios:
-        results[name] = run_net_load_test(
-            spec,
-            workload,
-            profile=CHAOS_PROFILES[profile_key],
-            duration_minutes=duration_minutes,
-            scale=scale,
-            seed=seed,
-            auto_warmup_traces=auto_warmup_traces,
-        )
-    return results
 
 
 def measure_query_latency(
     framework: TracingFramework, trace_ids: list[str], repeats: int = 1
 ) -> dict[str, float]:
-    """Mean and P95 query latency in milliseconds."""
-    samples: list[float] = []
+    """Mean and P95 query latency in milliseconds (0.0 with no ids)."""
+    samples = LatencyStats("query_ms")
     for _ in range(repeats):
         for trace_id in trace_ids:
             started = time.perf_counter()
             framework.query(trace_id)
-            samples.append((time.perf_counter() - started) * 1000.0)
-    if not samples:
-        return {"mean_ms": 0.0, "p95_ms": 0.0}
-    ordered = sorted(samples)
-    p95 = ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
-    return {"mean_ms": sum(samples) / len(samples), "p95_ms": p95}
+            samples.record((time.perf_counter() - started) * 1000.0)
+    return {"mean_ms": samples.mean, "p95_ms": samples.percentile(95.0)}

@@ -15,7 +15,7 @@ storm read-only by construction.
 
 That read-only property is the harness's convergence gate: a storm run
 must leave the :data:`CONVERGENCE_KEYS` sections of the shared
-fingerprint (:mod:`repro.concurrent.verify`) — byte tables, per-minute
+fingerprint (:mod:`repro.verify`) — byte tables, per-minute
 meter series, the full query signature — bit-identical to a quiet
 (storm-free, subscription-free) run of the same stream: analyst load,
 at any QPS, perturbs nothing the paper's figures measure.
@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any
 
-from repro.concurrent.verify import fingerprint
 from repro.net.transport import CHAOS_WIRE
+from repro.obs.metrics import LatencyStats
 from repro.query.spec import QuerySpec
 from repro.sim.experiment import generate_stream
 from repro.sim.loadtest import restrict_apis
 from repro.transport import Deployment
+from repro.verify import fingerprint
 from repro.workloads import WORKLOAD_BUILDERS
 from repro.workloads.queries import QueryWorkload
 
@@ -42,13 +43,6 @@ from repro.workloads.queries import QueryWorkload
 #: fingerprint altogether — separated traffic may differ; the figures
 #: may not.
 CONVERGENCE_KEYS = ("byte_tables", "meter_series", "query_signature")
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 @dataclass
@@ -158,8 +152,8 @@ def run_storm(
     wire_s = 2.0 * (net.latency_s if net is not None else 0.0)
 
     ingested: list[str] = []
-    totals: list[float] = []
-    wires: list[float] = []
+    totals = LatencyStats("storm_query")
+    wires = LatencyStats("storm_wire")
     exec_total = 0.0
     statuses: dict[str, int] = {}
 
@@ -170,8 +164,8 @@ def run_storm(
         result = framework.query(trace_id)
         exec_s = time.perf_counter() - started
         exec_total += exec_s
-        wires.append(wire_s)
-        totals.append(wire_s + exec_s)
+        wires.record(wire_s)
+        totals.record(wire_s + exec_s)
         statuses[str(result.status)] = statuses.get(str(result.status), 0) + 1
 
     arrival = 0
@@ -193,7 +187,7 @@ def run_storm(
     framework.finalize(last_now)
 
     run_print = fingerprint(framework, stream)
-    issued = len(totals)
+    issued = totals.count
     result = StormResult(
         workload=workload_name,
         topology=topology,
@@ -204,10 +198,10 @@ def run_storm(
         sim_qps=issued / duration_s if duration_s > 0 else 0.0,
         wall_capacity_qps=issued / exec_total if exec_total > 0 else 0.0,
         exec_total_s=exec_total,
-        p50_ms=_percentile(totals, 0.50) * 1000.0,
-        p99_ms=_percentile(totals, 0.99) * 1000.0,
-        wire_p50_ms=_percentile(wires, 0.50) * 1000.0,
-        wire_p99_ms=_percentile(wires, 0.99) * 1000.0,
+        p50_ms=totals.p50 * 1000.0,
+        p99_ms=totals.p99 * 1000.0,
+        wire_p50_ms=wires.p50 * 1000.0,
+        wire_p99_ms=wires.p99 * 1000.0,
         statuses=statuses,
         push_bytes=framework.push_bytes,
         subscription=(

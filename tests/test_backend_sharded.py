@@ -377,6 +377,8 @@ class TestShardInvariance:
                 == backend.storage_bytes()
                 + backend.merged.replicated_pattern_bytes()
             ), count
+        # One shard holds every pattern once: nothing is replicated.
+        assert sharded[1].backend.merged.replicated_pattern_bytes() == 0
 
     def test_shard_summaries_cover_all_hosts(self, sharded):
         for count, framework in sharded.items():

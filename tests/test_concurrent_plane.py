@@ -18,15 +18,12 @@ import pytest
 
 from repro.concurrent.lanes import LaneError, ProcessLane, ThreadLane, make_lane
 from repro.concurrent.snapshot import PatternPlaneSnapshot
-from repro.concurrent.verify import compare_fingerprints, fingerprint
 from repro.framework import MintFramework
-from repro.sim.concurrent import (
-    run_concurrent_experiment,
-    run_snapshot_experiment,
-)
+from repro.sim.concurrent import run_snapshot_experiment
 from repro.sim.experiment import drive as sim_drive
 from repro.sim.experiment import generate_stream
 from repro.transport import Deployment
+from repro.verify import compare_fingerprints, fingerprint
 
 NUM_TRACES = 160
 WARMUP = 60
@@ -94,26 +91,33 @@ class TestWorkerCountInvariance:
             framework.close()
 
     def test_sharded_parallel_matches_sharded_sequential(self, stream):
-        reference = drive(
-            MintFramework(
-                auto_warmup_traces=WARMUP, deployment=Deployment.sharded(4)
-            ),
-            stream,
-        )
-        framework = drive(
-            MintFramework(
-                auto_warmup_traces=WARMUP,
-                deployment=Deployment.sharded(4, workers=4),
-            ),
-            stream,
-        )
-        try:
-            violations = compare_fingerprints(
-                fingerprint(reference, stream), fingerprint(framework, stream)
+        for shards, worker_counts in ((4, (4,)), (2, (1, STRESS_WORKERS))):
+            sequential = drive(
+                MintFramework(
+                    auto_warmup_traces=WARMUP, deployment=Deployment.sharded(shards)
+                ),
+                stream,
             )
-            assert violations == []
-        finally:
-            framework.close()
+            sequential_print = fingerprint(sequential, stream)
+            epochs_applied = set()
+            for workers in worker_counts:
+                framework = drive(
+                    MintFramework(
+                        auto_warmup_traces=WARMUP,
+                        deployment=Deployment.sharded(shards, workers=workers),
+                    ),
+                    stream,
+                )
+                try:
+                    violations = compare_fingerprints(
+                        sequential_print, fingerprint(framework, stream)
+                    )
+                    assert violations == [], (shards, workers)
+                    epochs_applied.add(framework._plane.epochs_applied)
+                finally:
+                    framework.close()
+            # Epoch application is worker-count independent by design.
+            assert len(epochs_applied) == 1, shards
 
     def test_epoch_size_does_not_change_results(self, stream, reference_print):
         # The epoch is a latency/throughput knob, never a results knob.
@@ -162,18 +166,6 @@ class TestWorkerCountInvariance:
 
 
 class TestHarness:
-    def test_run_concurrent_experiment_clean(self, boutique_workload):
-        result = run_concurrent_experiment(
-            boutique_workload,
-            num_traces=120,
-            warmup_traces=50,
-            worker_counts=(1, STRESS_WORKERS),
-            num_shards=2,
-        )
-        assert result.identical, result.violations
-        # Epoch application is worker-count independent by design.
-        assert len(set(result.epochs_applied.values())) == 1
-
     def test_run_snapshot_experiment_clean(self, boutique_workload):
         violations = run_snapshot_experiment(
             boutique_workload, num_traces=120, warmup_traces=50, workers=2

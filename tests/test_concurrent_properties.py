@@ -14,12 +14,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concurrent.verify import byte_tables
 from repro.framework import MintFramework
 from repro.parsing.span_parser import SpanPatternLibrary
 from repro.sim.experiment import drive as sim_drive
 from repro.sim.experiment import generate_stream
 from repro.transport import Deployment
+from repro.verify import byte_tables
 from repro.workloads import build_onlineboutique
 
 WORKER_COUNTS = (1, 2, 4, 8)

@@ -10,12 +10,16 @@ and at smoke scale so a violation names its seam.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
+from types import SimpleNamespace
 
 import pytest
 
+from repro.baselines import OTFull
 from repro.framework import MintFramework
+from repro.net.transport import CHAOS_WIRE
 from repro.obs import (
     NULL_OBSERVER,
     Counter,
@@ -32,10 +36,12 @@ from repro.obs import (
 )
 from repro.obs.metrics import SIM_DOMAIN, WALL_DOMAIN
 from repro.obs.trace import NULL_INSTRUMENT
+from repro.sim import loadtest, storm
 from repro.sim.experiment import drive as sim_drive
 from repro.sim.incident import incident_deployment, run_incident
 from repro.transport import Deployment
 from repro.workloads.generator import WorkloadDriver
+from tests.conftest import make_chain_trace
 
 
 def build_stream(workload, count: int, seed: int = 7):
@@ -122,6 +128,40 @@ class TestHistogramQuantiles:
         # conservative, never an underestimate.
         assert hist.p50 == 0.1
         assert hist.p99 == 1.0
+
+    def test_harness_percentiles_are_latency_stats(self, monkeypatch):
+        # Every timed call in the storm and the fig15 probe starts at 0
+        # and its k-th stop reads (k+1) ms, so the samples are known and
+        # each reported quantile must be LatencyStats' over them.
+        def stepped_clock() -> SimpleNamespace:
+            calls = itertools.count()
+
+            def perf_counter() -> float:
+                call = next(calls)
+                return 0.0 if call % 2 == 0 else (call // 2 + 1) * 1e-3
+
+            return SimpleNamespace(perf_counter=perf_counter)
+
+        framework = OTFull()
+        trace = make_chain_trace(depth=2)
+        framework.process_trace(trace, 0.0)
+        monkeypatch.setattr(loadtest, "time", stepped_clock())
+        probe = loadtest.measure_query_latency(framework, [trace.trace_id] * 200)
+        expected = LatencyStats()
+        for k in range(200):
+            expected.record((k + 1) * 1e-3 * 1000.0)
+        assert probe == {"mean_ms": expected.mean, "p95_ms": expected.percentile(95.0)}
+
+        monkeypatch.setattr(storm, "time", stepped_clock())
+        result = storm.run_storm(num_traces=80, storm_qps=1000.0)
+        assert result.issued > 51  # past 51 samples, a p99 rank off by one shows
+        wire_s = 2.0 * CHAOS_WIRE.latency_s
+        expected = LatencyStats()
+        for k in range(result.issued):
+            expected.record(wire_s + (k + 1) * 1e-3)
+        assert result.p50_ms == expected.percentile(50.0) * 1000.0
+        assert result.p99_ms == expected.percentile(99.0) * 1000.0
+        assert result.wire_p99_ms == wire_s * 1000.0 > 0
 
     def test_negative_observation_rejected(self):
         with pytest.raises(ValueError, match="negative latency"):

@@ -9,12 +9,12 @@ import reference_lcs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concurrent.verify import fingerprint
 from repro.framework import MintFramework
 from repro.parsing import lcs as lcs_module
 from repro.parsing.lcs import lcs_length, lcs_tokens, token_similarity
 from repro.sim.experiment import drive, generate_stream
 from repro.transport.deployment import Deployment
+from repro.verify import fingerprint
 from repro.workloads.alibaba import build_dataset
 from repro.workloads.onlineboutique import build_onlineboutique
 from repro.workloads.trainticket import build_trainticket

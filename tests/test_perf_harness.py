@@ -19,9 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.concurrent.verify import fingerprint
 from repro.framework import MintFramework
 from repro.sim.experiment import drive, generate_stream
+from repro.verify import fingerprint
 from repro.workloads import build_onlineboutique
 
 ROOT = Path(__file__).resolve().parent.parent
