@@ -17,7 +17,6 @@ from repro.backend.querier import ApproximateSegment, ApproximateTrace, Querier,
 from repro.backend.sharded import (
     MergedStorageView,
     ShardedBackend,
-    ShardedQuerier,
     ShardSummary,
     shard_for_key,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "MintBackend",
     "MergedStorageView",
     "ShardedBackend",
-    "ShardedQuerier",
     "ShardSummary",
     "shard_for_key",
     "FlameNode",

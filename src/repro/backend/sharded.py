@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.agent.reports import BloomReport, PatternLibraryReport, Report
-from repro.backend.querier import Querier, QueryResult
+from repro.backend.querier import Querier
 from repro.backend.storage import StorageEngine, StoredBloom
 from repro.bloom.bloom_filter import BloomFilter, _digest_pair
 from repro.model.encoding import encoded_size
@@ -50,7 +50,7 @@ from repro.transport.plane import BackendPlane
 from repro.transport.wire import NotifyMeter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.agent.collector import MintCollector
+    from repro.elastic.chaos import ShardChaosProfile
 
 
 def shard_for_key(key: str, num_shards: int) -> int:
@@ -434,30 +434,6 @@ class MergedStorageView:
         return merged
 
 
-class ShardedQuerier(Querier):
-    """Fans a trace query across every shard and merges the answers.
-
-    Inherits the reference query logic unchanged and points it at the
-    :class:`MergedStorageView`, whose fan-out reads *are* the per-shard
-    queries: exact reconstruction unions parameter records from the
-    shards owning the trace's hosts (resolving span patterns through
-    the merged library, so a pattern learned on one shard reconstructs
-    records stored on another), and approximate reconstruction unions
-    Bloom matches across shards before the usual verify-and-stitch.
-    Sharing the reference implementation is what makes "merged result
-    == single-backend result" hold by construction rather than by
-    re-implementation.
-    """
-
-    def __init__(self, merged: MergedStorageView) -> None:
-        super().__init__(merged)  # type: ignore[arg-type]
-        self.merged = merged
-
-    def query_shard(self, shard_index: int, trace_id: str) -> QueryResult:
-        """One shard's partial answer (diagnostics / partition probes)."""
-        return Querier(self.merged.shards[shard_index]).query(trace_id)
-
-
 @dataclass
 class ShardSummary:
     """Per-shard meter snapshot for the scaling experiments."""
@@ -482,6 +458,37 @@ class ShardSummary:
         }
 
 
+class ShardRoster:
+    """The merged view's window onto the engines under shard chaos.
+
+    List-shaped so :class:`MergedStorageView` and its helpers work
+    unchanged: *iteration* yields only the engines of shards that are
+    currently reachable (fan-out reads skip a crashed box, degrading
+    the answer instead of raising), while *indexing* stays absolute —
+    shard ``i`` is engine ``i`` whether or not shard ``i - 1`` is down.
+    Backed by the backend's own engine list, so engines appended by a
+    reshard appear in every fan-out automatically.  Only a backend with
+    a shard supervisor reads through one; every other sharded read
+    fans out over the plain list.
+    """
+
+    def __init__(self, engines: list[StorageEngine], backend: "ShardedBackend"):
+        self._engines = engines
+        self._backend = backend
+
+    def __iter__(self) -> Iterator[StorageEngine]:
+        down = self._backend.down_shards()
+        for index, engine in enumerate(self._engines):
+            if index not in down:
+                yield engine
+
+    def __getitem__(self, index: int) -> StorageEngine:
+        return self._engines[index]
+
+    def __len__(self) -> int:
+        return len(self._engines)
+
+
 class ShardedBackend(BackendPlane):
     """N hash-partitioned shards behind a MintBackend-shaped facade.
 
@@ -492,9 +499,30 @@ class ShardedBackend(BackendPlane):
     reports route to the shard owning their origin host
     (:meth:`_engine_for`), every stored report folds into the merge
     layer (:meth:`_observe_stored`), and queries are answered by the
-    :class:`ShardedQuerier` over the merged view.  Sampling
-    notifications broadcast to the whole fleet because the dedup set
-    and collector registry live in the plane, above the shards.
+    reference :class:`~repro.backend.querier.Querier` over the merged
+    view, so "merged result == single-backend result" holds by
+    construction.  Sampling notifications broadcast to the whole fleet
+    because the dedup set and collector registry live in the plane,
+    above the shards.
+
+    The shard map can change while the backend runs:
+
+    * **routing is mutable** — ``num_shards`` is the *routing modulus*
+      and may change at a reshard cutover, and per-host overrides let
+      the :class:`~repro.elastic.reshard.ReshardCoordinator` move hosts
+      one at a time while ingest continues.  The engine list only ever
+      *grows* (:meth:`ensure_engines`; ``target_shards`` pre-sizes it)
+      and engines are never dropped or reordered: shard index ``i``
+      means the same box for the whole run, which keeps the
+      transport's per-shard ledgers valid across resharding and keeps
+      a retired shard's pattern library resolvable through the merged
+      fan-out — content-addressed patterns never need migrating;
+    * **commits are supervised under shard chaos** — a non-benign
+      ``shard_chaos`` profile attaches a
+      :class:`~repro.elastic.supervisor.ShardSupervisor` that every
+      store runs through, and reads go through a :class:`ShardRoster`
+      that skips crashed shards, so queries during an outage degrade
+      to ``partial``/``miss`` instead of raising.
     """
 
     def __init__(
@@ -503,18 +531,30 @@ class ShardedBackend(BackendPlane):
         bloom_buffer_bytes: int = 4096,
         bloom_fpp: float = 0.01,
         notify_meter: NotifyMeter | None = None,
+        target_shards: int | None = None,
+        shard_chaos: "ShardChaosProfile | None" = None,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
         super().__init__(notify_meter=notify_meter)
         self.num_shards = num_shards
-        self.shards = [
-            StorageEngine(bloom_buffer_bytes=bloom_buffer_bytes, bloom_fpp=bloom_fpp)
-            for _ in range(num_shards)
-        ]
-        self.merged = MergedStorageView(self.shards)
-        self.querier = ShardedQuerier(self.merged)
-        self._collector_shards: list[int] = []
+        self._bloom_buffer_bytes = bloom_buffer_bytes
+        self._bloom_fpp = bloom_fpp
+        self._route_overrides: dict[str, int] = {}
+        self.shards: list[StorageEngine] = []
+        self.ensure_engines(max(num_shards, target_shards or 0))
+        if shard_chaos is not None and not shard_chaos.is_benign:
+            # Imported here: the elastic package imports this module.
+            from repro.elastic.supervisor import ShardSupervisor
+
+            self.supervisor = ShardSupervisor(
+                profile=shard_chaos,
+                commit=self._commit_direct,
+                owner_of=self.shard_for,
+            )
+        engines = self.shards if self.supervisor is None else ShardRoster(self.shards, self)
+        self.merged = MergedStorageView(engines)  # type: ignore[arg-type]
+        self.querier = Querier(self.merged)  # type: ignore[arg-type]
 
     # The framework and tests read ``backend.storage`` for byte tables
     # and stored-trace enumeration; the merged view plays that role.
@@ -527,7 +567,10 @@ class ShardedBackend(BackendPlane):
     # Topology (the BackendPlane contract)
     # ------------------------------------------------------------------
     def shard_for(self, node: str) -> int:
-        """The shard owning ``node`` (stable hash partition)."""
+        """Current owner of ``node``: a migration override, else hash."""
+        override = self._route_overrides.get(node)
+        if override is not None:
+            return override
         return shard_for_key(node, self.num_shards)
 
     def _engine_for(self, node: str) -> StorageEngine:
@@ -538,34 +581,75 @@ class ShardedBackend(BackendPlane):
         """Fold every routed, stored report into the merge layer."""
         self.merged.observe_report(report, engine)
 
-    # ------------------------------------------------------------------
-    # Collector plane
-    # ------------------------------------------------------------------
-    def register_collector(self, collector: "MintCollector") -> None:
-        """Attach a host's collector to the shard owning the host.
+    def ensure_engines(self, count: int) -> None:
+        """Grow the engine list to at least ``count`` boxes.
 
-        Registration order is preserved globally so notification
-        fan-out visits collectors exactly as one backend would.
+        Appending (never replacing) keeps every existing shard index
+        stable; the new engines are empty and start receiving traffic
+        only once routing points hosts at them.
         """
-        super().register_collector(collector)
-        self._collector_shards.append(self.shard_for(collector.node))
+        while len(self.shards) < count:
+            self.shards.append(
+                StorageEngine(
+                    bloom_buffer_bytes=self._bloom_buffer_bytes,
+                    bloom_fpp=self._bloom_fpp,
+                )
+            )
 
-    def collectors_on_shard(self, shard: int) -> list["MintCollector"]:
-        """The collectors whose hosts the shard owns."""
-        return [
-            collector
-            for collector, owner in zip(self._collectors, self._collector_shards)
-            if owner == shard
-        ]
+    def pin_route(self, node: str, shard: int) -> None:
+        """Route ``node`` to ``shard`` regardless of the hash map.
+
+        The reshard cutover: the coordinator pins a moving host to its
+        destination *before* snapshotting the source engine, so every
+        report not in the snapshot is delivered to the destination —
+        the two sets are disjoint and nothing is lost or doubled.
+        """
+        if not 0 <= shard < len(self.shards):
+            raise ValueError(f"cannot pin {node!r} to unknown shard {shard}")
+        self._route_overrides[node] = shard
+
+    def set_routing_shards(self, num_shards: int) -> None:
+        """Flip the hash modulus and drop now-redundant overrides."""
+        if num_shards <= 0:
+            raise ValueError("num_shards must be positive")
+        self.ensure_engines(num_shards)
+        self.num_shards = num_shards
+        self._route_overrides = {
+            node: shard
+            for node, shard in self._route_overrides.items()
+            if shard_for_key(node, num_shards) != shard
+        }
+
+    def down_shards(self) -> set[int]:
+        """Shards currently unreachable (empty without shard chaos)."""
+        if self.supervisor is None:
+            return set()
+        return self.supervisor.down_shards()
+
+    # ------------------------------------------------------------------
+    # The supervised commit path
+    # ------------------------------------------------------------------
+    def _commit(self, report: Report) -> None:
+        if self.supervisor is not None and self.supervisor.intercept(report):
+            return
+        super()._commit(report)
+
+    def _commit_direct(self, report: Report) -> None:
+        """The supervisor's replay path: store without re-interception.
+
+        Routes through :meth:`_engine_for` at *replay* time, so a host
+        that migrated while its report was parked commits to its
+        current owner."""
+        super()._commit(report)
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     def shard_summaries(self) -> list[ShardSummary]:
-        """Per-shard byte tables for the scaling experiments."""
-        hosts_by_shard: dict[int, list[str]] = {i: [] for i in range(self.num_shards)}
-        for collector, owner in zip(self._collectors, self._collector_shards):
-            hosts_by_shard[owner].append(collector.node)
+        """Per-shard tables over every engine, with live host owners."""
+        hosts_by_shard: dict[int, list[str]] = {i: [] for i in range(len(self.shards))}
+        for collector in self._collectors:
+            hosts_by_shard[self.shard_for(collector.node)].append(collector.node)
         return [
             ShardSummary(
                 shard=i,

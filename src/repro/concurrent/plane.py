@@ -127,8 +127,8 @@ class ParallelIngestPlane:
         ]
         self._proxies: dict[str, LaneCollectorProxy] = {}
         self._op_buffers: list[list] = [[] for _ in range(workers)]
-        # (seq, now, trace_id) of every trace submitted this epoch.
-        self._epoch_meta: list[tuple[int, float, str]] = []
+        # (seq, now, proxies of hosts it showed first) per trace this epoch.
+        self._epoch_meta: list[tuple[int, float, list[LaneCollectorProxy]]] = []
         self._seq = 0
         self._epochs_applied = 0
         # Marks queued by proxies during the apply loop's notifications.
@@ -170,9 +170,12 @@ class ParallelIngestPlane:
             for span in trace.spans:
                 per_node.setdefault(span.node, []).append(span)
         per_lane: dict[int, list] = defaultdict(list)
+        joined: list[LaneCollectorProxy] = []
         for node, spans in per_node.items():
-            proxy = self._proxy_for(node)
+            proxy = self._proxy_for(node, joined)
             per_lane[proxy.lane_index].append((node, spans))
+        for proxy in joined:
+            self.backend.register_collector(proxy)
         for lane_index, items in per_lane.items():
             self._lanes[lane_index].post(("warmup", items))
         # No reply needed: per-lane FIFO ordering already guarantees the
@@ -188,9 +191,10 @@ class ParallelIngestPlane:
         """
         seq = self._seq
         self._seq += 1
-        self._epoch_meta.append((seq, now, trace.trace_id))
+        joined: list[LaneCollectorProxy] = []
+        self._epoch_meta.append((seq, now, joined))
         for sub_idx, sub_trace in enumerate(trace.sub_traces()):
-            proxy = self._proxy_for(sub_trace.node)
+            proxy = self._proxy_for(sub_trace.node, joined)
             buffer = self._op_buffers[proxy.lane_index]
             buffer.append((seq, sub_idx, now, sub_trace))
             if len(buffer) >= self._ops_batch:
@@ -239,10 +243,11 @@ class ParallelIngestPlane:
 
         Phase 1 (parallel, already done): lanes parsed and sampled.
         Phase 2 (here, single-writer): for each trace in sequence
-        order — deliver its stamped reports through the real transport,
-        run its sampling notifications (charging pings and doing the
-        mark round-trips), then sync storage at its timestamp.  This is
-        byte-for-byte the sequential ``_process_online`` schedule.
+        order — register the collectors of hosts it showed first, deliver
+        its stamped reports through the real transport, run its sampling
+        notifications (charging pings and doing the mark round-trips),
+        then sync storage at its timestamp.  This is byte-for-byte the
+        sequential ``_process_online`` schedule.
         """
         if not self._epoch_meta:
             return
@@ -300,8 +305,10 @@ class ParallelIngestPlane:
         sampled_by_seq: dict[int, list[tuple[int, int, str, str]]] = defaultdict(list)
         for entry in sampled:
             sampled_by_seq[entry[0]].append(entry)
-        for seq, now, _trace_id in self._epoch_meta:
+        for seq, now, joined in self._epoch_meta:
             self._set_now(now)
+            for proxy in joined:
+                self.backend.register_collector(proxy)
             for _, report in reports_by_seq.get(seq, ()):
                 self._deliver(report)
             for _, _, node, trace_id in sampled_by_seq.get(seq, ()):
@@ -360,12 +367,15 @@ class ParallelIngestPlane:
     # ------------------------------------------------------------------
     # Fleet wiring
     # ------------------------------------------------------------------
-    def _proxy_for(self, node: str) -> LaneCollectorProxy:
+    def _proxy_for(self, node: str, joined: list[LaneCollectorProxy]) -> LaneCollectorProxy:
+        """The node's proxy; a first-seen node's new proxy is appended to
+        ``joined``, for the caller to register with the backend where
+        the sequential run would (warm-up, or that trace's apply turn)."""
         proxy = self._proxies.get(node)
         if proxy is None:
             proxy = LaneCollectorProxy(self, node, shard_for_key(node, self.workers))
             self._proxies[node] = proxy
-            self.backend.register_collector(proxy)
+            joined.append(proxy)
         return proxy
 
     @property

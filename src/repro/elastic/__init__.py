@@ -1,12 +1,13 @@
 """Elastic deployments: live resharding, shard failover, autoscaling.
 
-The deployment plane so far fixed its topology at construction; this
-package makes it elastic while keeping every invariance gate:
+Every sharded deployment's shard map may change while it runs:
+:class:`~repro.backend.sharded.ShardedBackend` itself carries the
+per-host routing overrides, the grow-only engine list (stable shard
+indices) and, under shard chaos, the supervised commit path and the
+:class:`~repro.backend.sharded.ShardRoster` that lets fan-out reads
+skip crashed shards.  This package drives that map while keeping
+every invariance gate:
 
-* :mod:`repro.elastic.backend` — :class:`ElasticShardedBackend`, the
-  sharded merge layer with a *mutable* shard map: per-host routing
-  overrides, a grow-only engine list (stable shard indices), and a
-  :class:`ShardRoster` that lets fan-out reads skip crashed shards;
 * :mod:`repro.elastic.reshard` — the :class:`ReshardCoordinator`
   migration protocol: minimal host movement on top of ``shard_for_key``,
   cutover-then-snapshot per host so ingest never stops, state streamed
@@ -33,7 +34,6 @@ Two gates pin this package's correctness
 """
 
 from repro.elastic.autoscale import AutoscalePolicy, Autoscaler, ScaleEvent
-from repro.elastic.backend import ElasticShardedBackend, ShardRoster
 from repro.elastic.chaos import (
     SHARD_CHAOS_PROFILES,
     ShardChaosProfile,
@@ -52,14 +52,12 @@ __all__ = [
     "SHARD_CHAOS_PROFILES",
     "AutoscalePolicy",
     "Autoscaler",
-    "ElasticShardedBackend",
     "HostMove",
     "MigrationStats",
     "ReshardCoordinator",
     "ScaleEvent",
     "ShardChaosProfile",
     "ShardOutage",
-    "ShardRoster",
     "ShardSupervisor",
     "SupervisorStats",
     "fit_outages",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.elastic.backend import ElasticShardedBackend
+from repro.backend.sharded import ShardedBackend
 from repro.elastic.reshard import ReshardCoordinator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,8 +93,8 @@ class Autoscaler:
     events: list[ScaleEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.framework.backend, ElasticShardedBackend):
-            raise TypeError("autoscaling needs an elastic deployment")
+        if not isinstance(self.framework.backend, ShardedBackend):
+            raise TypeError("autoscaling needs a sharded deployment")
         self._coordinator: ReshardCoordinator | None = None
         self._last_scale_s = float("-inf")
         self.peak_depth = 0

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.agent.reports import BloomReport, ParamsReport
-from repro.backend.sharded import shard_for_key
-from repro.elastic.backend import ElasticShardedBackend
+from repro.backend.sharded import ShardedBackend, shard_for_key
 from repro.transport.wire import MIGRATION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,15 +88,12 @@ class ReshardCoordinator:
 
     def __init__(
         self,
-        backend: ElasticShardedBackend,
+        backend: ShardedBackend,
         transport: "Transport",
         to_shards: int,
     ) -> None:
-        if not isinstance(backend, ElasticShardedBackend):
-            raise TypeError(
-                "live resharding needs an elastic deployment "
-                "(Deployment.resharded / Deployment.elastic_sharded)"
-            )
+        if not isinstance(backend, ShardedBackend):
+            raise TypeError("live resharding needs a sharded deployment")
         if to_shards <= 0:
             raise ValueError("resharding needs at least one destination shard")
         self.backend = backend
@@ -201,7 +197,7 @@ class ReshardCoordinator:
         self.finished = True
 
 
-def placement_violations(backend: ElasticShardedBackend) -> list[str]:
+def placement_violations(backend: ShardedBackend) -> list[str]:
     """Audit that every host's stored state sits on its hash owner.
 
     The post-migration invariant behind the bit-identity gate: for

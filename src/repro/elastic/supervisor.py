@@ -1,6 +1,6 @@
 """The shard supervisor: failure detection, parking, and replay.
 
-Sits on the elastic backend's commit path, between the transport's
+Sits on the sharded backend's commit path, between the transport's
 exactly-once delivery and the storage engines.  When the shard owning a
 report is crashed (per the deployment's :class:`ShardChaosProfile`),
 the commit attempt *times out*: the supervisor marks the shard
@@ -77,7 +77,7 @@ class _Parked:
 class ShardSupervisor:
     """Detects dead shards, parks undeliverable reports, replays them.
 
-    ``commit`` is the direct store path (the elastic backend's
+    ``commit`` is the direct store path (the sharded backend's
     supervisor-free commit), used both for replay and so a replayed
     report is routed by the *current* shard map — a host migrated while
     its report was parked lands on its new owner.

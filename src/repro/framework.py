@@ -31,6 +31,7 @@ approximate trace, or miss.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -145,23 +146,14 @@ class MintFramework(TracingFramework):
                 sampler_factories=self._extra_factories,
             )
             self._plane.bind_observer(self.observer)
-        if self.deployment.is_elastic:
-            if self.deployment.reshard_to is not None:
-                self.name = (
-                    f"Mint-Elastic({self.deployment.num_shards}->"
-                    f"{self.deployment.reshard_to})"
-                )
-            else:
-                self.name = f"Mint-Elastic({self.deployment.num_shards})"
+        if self.deployment.is_sharded:
+            self.name = f"Mint-Sharded({self.deployment.num_shards})"
+        if self.backend.supervisor is not None:
             # The failover supervisor stamps outage detection and
             # backoff probes in wire time, so parked reports replay at
             # honest simulated instants on any transport.
-            supervisor = getattr(self.backend, "supervisor", None)
-            if supervisor is not None:
-                supervisor.bind_clock(self.transport.wire_now)
-                supervisor.bind_observer(self.observer)
-        elif self.deployment.is_sharded:
-            self.name = f"Mint-Sharded({self.deployment.num_shards})"
+            self.backend.supervisor.bind_clock(self.transport.wire_now)
+            self.backend.supervisor.bind_observer(self.observer)
         if self.deployment.is_parallel:
             self.name += (
                 f"+{self.deployment.workers}w-{self.deployment.worker_mode}"
@@ -265,11 +257,10 @@ class MintFramework(TracingFramework):
             for collector in self._collectors.values():
                 collector.flush(now)
         self.transport.drain()
-        # Elastic backends replay their parked redelivery queues here —
+        # A shard supervisor replays its parked redelivery queues here —
         # after the wire quiesced (so replays are not interleaved with
         # in-flight traffic) and before the final storage sync (so the
-        # recovered bytes are metered).  A backend without a failover
-        # supervisor settles as a no-op.
+        # recovered bytes are metered).  Without one this is a no-op.
         self.backend.settle()
         if self._live is not None:
             # The standing-query catch-up sweep runs against the settled
@@ -524,7 +515,7 @@ class MintFramework(TracingFramework):
         return self.backend.cold_stats()
 
     # ------------------------------------------------------------------
-    # Elastic operations (elastic deployments only)
+    # Elastic operations (sharded deployments only)
     # ------------------------------------------------------------------
     def reshard(self, to_shards: int | None = None):
         """Run one live reshard to ``to_shards`` (default: the
@@ -541,17 +532,19 @@ class MintFramework(TracingFramework):
         if target is None:
             raise ValueError(
                 "no reshard target: pass to_shards or build the framework "
-                "from Deployment.resharded(from_n, to_n)"
+                "from Deployment.sharded(n, reshard_to=m)"
             )
+        if self.deployment.is_parallel:
+            # Lanes do not compose with resharding: raise the descriptor's error.
+            replace(self.deployment, reshard_to=target)
         coordinator = ReshardCoordinator(self.backend, self.transport, target)
         return coordinator.run()
 
     def elastic_stats(self) -> dict | None:
         """Failover-supervisor counters, when the deployment has one."""
-        supervisor = getattr(self.backend, "supervisor", None)
-        if supervisor is None:
+        if self.backend.supervisor is None:
             return None
-        return supervisor.stats.as_dict()
+        return self.backend.supervisor.stats.as_dict()
 
     # ------------------------------------------------------------------
     # Per-shard panels (empty for the single deployment)

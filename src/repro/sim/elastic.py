@@ -84,8 +84,7 @@ def run_reshard_experiment(
     and migrates one host per subsequent trace (any remainder completes
     before ``finalize``), so migration interleaves with ingest — routing
     never stops.  The reference is a fresh ``Deployment.sharded(to_n)``
-    (or elastic-at-``to_n`` over a network wire, which is bit-identical
-    by the sharded gates) driven through the identical stream.
+    on the same wire, driven through the identical stream.
 
     Checks: byte tables, full query signatures, stored-trace sets and
     host placement all equal the reference's, and migration traffic is
@@ -101,7 +100,7 @@ def run_reshard_experiment(
     drive(reference, stream)
 
     elastic = MintFramework(
-        deployment=Deployment.resharded(from_shards, to_shards, network=network),
+        deployment=Deployment.sharded(from_shards, network=network, reshard_to=to_shards),
         auto_warmup_traces=auto_warmup_traces,
     )
     trigger = int(len(stream) * trigger_frac)
@@ -230,9 +229,7 @@ def run_failover_experiment(
     }
 
     chaotic = MintFramework(
-        deployment=Deployment.elastic_sharded(
-            num_shards, network=network, shard_chaos=fitted
-        ),
+        deployment=Deployment.sharded(num_shards, network=network, shard_chaos=fitted),
         auto_warmup_traces=auto_warmup_traces,
     )
     violations: list[str] = []
@@ -393,9 +390,7 @@ def run_elastic_load_test(
     drive(baseline, stream)
 
     elastic = MintFramework(
-        deployment=Deployment.elastic_sharded(
-            start_shards, network=network, shard_chaos=fitted
-        ),
+        deployment=Deployment.sharded(start_shards, network=network, shard_chaos=fitted),
         auto_warmup_traces=auto_warmup_traces,
     )
     scaler = Autoscaler(framework=elastic, policy=policy)

@@ -50,18 +50,17 @@ class Deployment:
     simulated network plane (:class:`~repro.net.transport.NetTransport`)
     with that descriptor's latency/batching/chaos configuration.
 
-    Elastic topologies (``elastic=True``, via :meth:`resharded` or
-    :meth:`elastic_sharded`) build the
-    :class:`~repro.elastic.backend.ElasticShardedBackend` instead: a
-    mutable shard map that a
-    :class:`~repro.elastic.reshard.ReshardCoordinator` can rescale live
-    toward ``reshard_to`` shards, with optional shard-level chaos
-    (``shard_chaos``) handled by the failover supervisor.
+    A sharded deployment's shard map can change while it runs: a
+    :class:`~repro.elastic.reshard.ReshardCoordinator` (or the
+    framework's ``reshard()``) rescales it live, by default toward the
+    declared ``reshard_to`` shards, and a ``shard_chaos`` profile
+    attaches the failover supervisor.  Neither changes what is stored or
+    answered — a resharded run ends bit-identical to a fresh
+    ``Deployment.sharded(reshard_to)`` run over the same stream.
     """
 
     num_shards: int = 0
     network: "NetworkDescriptor | None" = None
-    elastic: bool = False
     reshard_to: "int | None" = None
     shard_chaos: "ShardChaosProfile | None" = None
     # Concurrent ingest plane: 0 = the classic single-threaded loop;
@@ -96,20 +95,17 @@ class Deployment:
                 "parallel ingest needs the synchronous in-process wire; "
                 "a simulated network plane cannot be driven by worker lanes yet"
             )
-        if self.workers > 0 and self.elastic:
-            raise ValueError(
-                "parallel ingest does not compose with elastic topologies yet "
-                "(resharding mutates the fleet the lanes partition over)"
-            )
-        if self.elastic and self.num_shards <= 0:
-            raise ValueError("an elastic deployment needs at least one shard")
-        if (self.reshard_to is not None or self.shard_chaos is not None) and (
-            not self.elastic
-        ):
-            raise ValueError(
-                "reshard targets and shard chaos need an elastic deployment "
-                "(Deployment.resharded / Deployment.elastic_sharded)"
-            )
+        if self.reshard_to is not None or self.shard_chaos is not None:
+            if self.num_shards <= 0:
+                raise ValueError(
+                    "reshard targets and shard chaos need a sharded deployment "
+                    "(Deployment.sharded(n, reshard_to=..., shard_chaos=...))"
+                )
+            if self.workers > 0:
+                raise ValueError(
+                    "parallel ingest does not compose with resharding or shard "
+                    "chaos yet (resharding mutates the fleet the lanes partition over)"
+                )
         if self.reshard_to is not None:
             if self.reshard_to <= 0:
                 raise ValueError("resharding needs at least one destination shard")
@@ -154,13 +150,19 @@ class Deployment:
         worker_mode: str = "thread",
         ingest_epoch: int = 32,
         observability: bool = True,
+        reshard_to: int | None = None,
+        shard_chaos: "ShardChaosProfile | None" = None,
     ) -> "Deployment":
         """N hash-partitioned shards behind the merged view.
 
         ``workers`` adds the concurrent ingest plane on top; with
         ``workers == num_shards`` each shard's producer fleet runs on
         its own worker lane (hosts hash to lanes with the same stable
-        hash that routes them to shards)."""
+        hash that routes them to shards).  ``reshard_to`` declares the
+        shard count a live reshard moves to (the framework's
+        ``reshard()`` default) and sizes the engines and per-shard
+        ledgers for it up front; ``shard_chaos`` schedules shard
+        outages for the failover supervisor."""
         if num_shards <= 0:
             raise ValueError("a sharded deployment needs at least one shard")
         return cls(
@@ -170,71 +172,8 @@ class Deployment:
             worker_mode=worker_mode,
             ingest_epoch=ingest_epoch,
             observability=observability,
-        )
-
-    @classmethod
-    def resharded(
-        cls,
-        from_shards: int,
-        to_shards: int,
-        network: "NetworkDescriptor | None" = None,
-        shard_chaos: "ShardChaosProfile | None" = None,
-        observability: bool = True,
-    ) -> "Deployment":
-        """An elastic deployment that starts at ``from_shards`` and is
-        meant to be rescaled live to ``to_shards``.
-
-        The descriptor only declares the transition; a
-        :class:`~repro.elastic.reshard.ReshardCoordinator` (or the
-        framework's ``reshard()`` convenience) performs it, host by
-        host, while ingest continues.
-        """
-        if from_shards <= 0:
-            raise ValueError(
-                "a resharded deployment needs at least one source shard "
-                f"(got from_shards={from_shards})"
-            )
-        if to_shards <= 0:
-            raise ValueError(
-                "resharding needs at least one destination shard "
-                f"(got to_shards={to_shards})"
-            )
-        if from_shards == to_shards:
-            raise ValueError(
-                "resharding must change the shard count "
-                f"(from {from_shards} to {to_shards} is a no-op)"
-            )
-        return cls(
-            num_shards=from_shards,
-            network=network,
-            elastic=True,
-            reshard_to=to_shards,
+            reshard_to=reshard_to,
             shard_chaos=shard_chaos,
-            observability=observability,
-        )
-
-    @classmethod
-    def elastic_sharded(
-        cls,
-        num_shards: int,
-        network: "NetworkDescriptor | None" = None,
-        shard_chaos: "ShardChaosProfile | None" = None,
-        observability: bool = True,
-    ) -> "Deployment":
-        """N shards on the elastic backend: reshardable, supervisable.
-
-        Without a reshard target or chaos profile this behaves exactly
-        like :meth:`sharded` — the elastic backend at a fixed shard
-        count is the degenerate case the equivalence gates pin.
-        """
-        if num_shards <= 0:
-            raise ValueError("an elastic deployment needs at least one shard")
-        return cls(
-            num_shards=num_shards,
-            network=network,
-            elastic=True,
-            shard_chaos=shard_chaos,
-            observability=observability,
         )
 
     # ------------------------------------------------------------------
@@ -246,11 +185,6 @@ class Deployment:
         return self.num_shards > 0
 
     @property
-    def is_elastic(self) -> bool:
-        """True when the shard map can change while the deployment runs."""
-        return self.elastic
-
-    @property
     def is_parallel(self) -> bool:
         """True when ingest fans out over the concurrent worker plane."""
         return self.workers > 0
@@ -259,9 +193,10 @@ class Deployment:
     def ledger_count(self) -> int:
         """How many per-shard ledgers the transport should charge.
 
-        An elastic deployment sizes for its reshard target up front so
+        A deployment with a reshard target sizes for it up front so
         per-shard panels cover the destination shards from time zero;
-        autoscaling beyond that grows the ledger list on demand.
+        any other reshard (or autoscaling) grows the ledger list on
+        demand.
         """
         return max(self.num_shards, self.reshard_to or 0)
 
@@ -270,8 +205,6 @@ class Deployment:
         topology = "single-backend" if not self.is_sharded else f"{self.num_shards}-shard"
         if self.reshard_to is not None:
             topology = f"{self.num_shards}->{self.reshard_to}-shard"
-        elif self.elastic:
-            topology = f"elastic-{self.num_shards}-shard"
         if self.shard_chaos is not None and not self.shard_chaos.is_benign:
             topology += f"+shardchaos={self.shard_chaos.name}"
         if self.is_parallel:
@@ -304,22 +237,13 @@ class Deployment:
                 bloom_fpp=config.bloom_fpp,
                 notify_meter=notify_meter,
             )
-        if self.elastic:
-            from repro.elastic.backend import ElasticShardedBackend
-
-            return ElasticShardedBackend(
-                num_shards=self.num_shards,
-                bloom_buffer_bytes=config.bloom_buffer_bytes,
-                bloom_fpp=config.bloom_fpp,
-                notify_meter=notify_meter,
-                target_shards=self.reshard_to,
-                shard_chaos=self.shard_chaos,
-            )
         return ShardedBackend(
             num_shards=self.num_shards,
             bloom_buffer_bytes=config.bloom_buffer_bytes,
             bloom_fpp=config.bloom_fpp,
             notify_meter=notify_meter,
+            target_shards=self.reshard_to,
+            shard_chaos=self.shard_chaos,
         )
 
     def build_transport(

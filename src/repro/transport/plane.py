@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.agent.collector import MintCollector
     from repro.backend.querier import Querier
     from repro.backend.storage import StorageEngine
+    from repro.elastic.supervisor import ShardSupervisor
 
 
 class BackendPlane(abc.ABC):
@@ -78,6 +79,10 @@ class BackendPlane(abc.ABC):
         # cursor close) so ``obs_report()`` has a query section even on
         # an obs-off deployment.
         self.plan_totals = PlanStats()
+        # Shard-chaos failover: a sharded backend built with a
+        # non-benign chaos profile attaches a supervisor that parks
+        # commits for crashed shards; every other plane has none.
+        self.supervisor: "ShardSupervisor | None" = None
         self.bind_observer(NULL_OBSERVER)
 
     # ------------------------------------------------------------------
@@ -151,8 +156,8 @@ class BackendPlane(abc.ABC):
         """Store one deduplicated report on the engine owning its node.
 
         Split from :meth:`receive` so layers *behind* the watermark can
-        re-drive storage without re-entering the dedup: the elastic
-        plane's shard supervisor parks reports for a crashed shard
+        re-drive storage without re-entering the dedup: the sharded
+        backend's shard supervisor parks reports for a crashed shard
         after they passed the watermark, and replays them through this
         method on restart — running them through ``receive`` again
         would find their ids at or below the channel's high-water mark
@@ -168,13 +173,13 @@ class BackendPlane(abc.ABC):
         self._observe_stored(report, engine)
 
     def settle(self) -> None:
-        """End-of-run hook after the transport drained.
-
-        The base planes hold nothing back once deliveries land, so this
-        is a no-op; the elastic plane overrides it to replay its shard
-        supervisor's parked redelivery queues (a restart at the end of
-        the schedule), so post-finalize queries see the converged
-        store."""
+        """End-of-run hook after the transport drained: replay the
+        shard supervisor's parked redelivery queues (a restart at the
+        end of the schedule), so post-finalize queries see the
+        converged store.  Without a supervisor nothing is held back
+        once deliveries land."""
+        if self.supervisor is not None:
+            self.supervisor.settle()
 
     def notify_sampled(self, trace_id: str, origin_node: str | None = None) -> None:
         """Propagate a sampling decision to every other collector.

@@ -111,8 +111,8 @@ class LocalTransport:
         self.backend = backend
         self.ledger = ledger
         self._clock: Clock = clock if clock is not None else (lambda: 0.0)
-        # Shared (not copied) with the caller: an elastic deployment
-        # grows the ledger list when the backend adds shards, and the
+        # Shared (not copied) with the caller: a reshard grows the
+        # ledger list when the backend adds shards, and the
         # framework's per-shard panels must see the growth.
         self.shard_ledgers = shard_ledgers if shard_ledgers is not None else []
         self._last_storage = 0
@@ -211,9 +211,9 @@ class LocalTransport:
     def _shard_ledger(self, shard: int) -> OverheadLedger:
         """The shard's ledger, grown on demand for elastic scale-ups.
 
-        New shards appear mid-run only under an elastic deployment;
-        static topologies size the list at construction and never grow
-        it."""
+        New shards appear mid-run only when a reshard grows the
+        backend; every other run sizes the list at construction and
+        never grows it."""
         while shard >= len(self.shard_ledgers):
             self.shard_ledgers.append(OverheadLedger())
             self._last_shard_storage.append(0)

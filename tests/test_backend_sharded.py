@@ -14,6 +14,7 @@ from repro.agent.agent import MintAgent
 from repro.agent.collector import MintCollector
 from repro.agent.config import MintConfig
 from repro.backend.backend import MintBackend
+from repro.backend.querier import Querier
 from repro.backend.sharded import ShardedBackend, shard_for_key
 from repro.framework import MintFramework
 from repro.model.encoding import encode_trace
@@ -90,11 +91,9 @@ class TestShardRouting:
 
     def test_collectors_grouped_by_owning_shard(self):
         backend, collectors = sharded_pair()
-        shard_a = backend.shard_for(NODE_A)
-        shard_b = backend.shard_for(NODE_B)
-        assert collectors[NODE_A] in backend.collectors_on_shard(shard_a)
-        assert collectors[NODE_A] not in backend.collectors_on_shard(shard_b)
-        assert collectors[NODE_B] in backend.collectors_on_shard(shard_b)
+        hosts = {row.shard: row.hosts for row in backend.shard_summaries()}
+        assert hosts[backend.shard_for(NODE_A)] == [NODE_A]
+        assert hosts[backend.shard_for(NODE_B)] == [NODE_B]
 
 
 class TestMergeLayer:
@@ -222,7 +221,7 @@ class TestMergeLayer:
             }
             assert screened == brute
 
-    def test_query_shard_sees_only_the_partition(self):
+    def test_each_shard_sees_only_its_partition(self):
         """Per-shard diagnostic queries expose the partial view the
         merge layer reconciles: each shard can answer only from its own
         hosts' reports, while the fan-out query sees the whole trace."""
@@ -231,8 +230,8 @@ class TestMergeLayer:
             collectors[sub.node].process(sub, now=0.0)
         shard_a = backend.shard_for(NODE_A)
         shard_b = backend.shard_for(NODE_B)
-        result_a = backend.querier.query_shard(shard_a, "1" * 32)
-        result_b = backend.querier.query_shard(shard_b, "1" * 32)
+        result_a = Querier(backend.shards[shard_a]).query("1" * 32)
+        result_b = Querier(backend.shards[shard_b]).query("1" * 32)
         assert {span.node for span in result_a.trace.spans} == {NODE_A}
         assert {span.node for span in result_b.trace.spans} == {NODE_B}
         merged = backend.query("1" * 32)

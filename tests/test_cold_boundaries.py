@@ -302,7 +302,7 @@ class TestReshardWithSealedSegments:
             traces,
         )
         live = MintFramework(
-            deployment=Deployment.resharded(2, 4), auto_warmup_traces=WARMUP
+            deployment=Deployment.sharded(2, reshard_to=4), auto_warmup_traces=WARMUP
         )
         last_now = 0.0
         for index, (now, trace) in enumerate(traces):

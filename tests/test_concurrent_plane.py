@@ -119,6 +119,25 @@ class TestWorkerCountInvariance:
             # Epoch application is worker-count independent by design.
             assert len(epochs_applied) == 1, shards
 
+    def test_host_first_seen_mid_epoch(self, boutique_workload):
+        # Warm-up 20 < epoch 32: ob-node-3 first shows in trace 22, so
+        # its collector must join the notification fan-out at that
+        # trace's turn in the epoch replay, not when it was submitted.
+        stream, _ = generate_stream(boutique_workload, 60, seed=17)
+        reference = fingerprint(drive(MintFramework(auto_warmup_traces=20), stream), stream)
+        for deployment in (
+            Deployment.single(workers=1),
+            Deployment.single(workers=2, worker_mode="process"),
+        ):
+            framework = drive(
+                MintFramework(auto_warmup_traces=20, deployment=deployment), stream
+            )
+            try:
+                violations = compare_fingerprints(reference, fingerprint(framework, stream))
+                assert violations == [], deployment.describe()
+            finally:
+                framework.close()
+
     def test_epoch_size_does_not_change_results(self, stream, reference_print):
         # The epoch is a latency/throughput knob, never a results knob.
         for epoch in (1, 7, 256):
@@ -292,8 +311,8 @@ class TestDeploymentDescriptor:
             Deployment(workers=2, worker_mode="fiber")
         with pytest.raises(ValueError, match="ingest_epoch"):
             Deployment(workers=2, ingest_epoch=0)
-        with pytest.raises(ValueError, match="elastic"):
-            Deployment(num_shards=2, elastic=True, workers=2)
+        with pytest.raises(ValueError, match="resharding or shard chaos"):
+            Deployment(num_shards=2, reshard_to=4, workers=2)
 
     def test_parallel_descriptor_describe(self):
         dep = Deployment.sharded(4, workers=2, worker_mode="process")

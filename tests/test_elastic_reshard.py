@@ -19,9 +19,10 @@ from repro.elastic import ReshardCoordinator, placement_violations
 from repro.elastic.chaos import SHARD_CHAOS_PROFILES
 from repro.framework import MintFramework
 from repro.sim.elastic import run_reshard_experiment
-from repro.sim.experiment import generate_stream
+from repro.sim.experiment import drive, generate_stream
 from repro.sim.meters import OverheadLedger
 from repro.transport import Deployment, LocalTransport
+from repro.verify import compare_fingerprints, fingerprint
 from repro.workloads import build_onlineboutique
 
 
@@ -33,41 +34,40 @@ class TestElasticDeploymentValidation:
             Deployment.sharded(-2)
 
     def test_resharded_rejects_bad_source(self):
-        with pytest.raises(ValueError, match="at least one source shard"):
-            Deployment.resharded(0, 4)
-        with pytest.raises(ValueError, match="at least one source shard"):
-            Deployment.resharded(-1, 4)
+        with pytest.raises(ValueError, match="at least one shard"):
+            Deployment.sharded(-1, reshard_to=4)
+        with pytest.raises(ValueError, match="need a sharded deployment"):
+            Deployment(num_shards=0, reshard_to=4)
 
     def test_resharded_rejects_bad_destination(self):
         with pytest.raises(ValueError, match="at least one destination shard"):
-            Deployment.resharded(2, 0)
+            Deployment.sharded(2, reshard_to=0)
         with pytest.raises(ValueError, match="at least one destination shard"):
-            Deployment.resharded(2, -3)
+            Deployment.sharded(2, reshard_to=-3)
 
     def test_resharded_rejects_the_no_op_transition(self):
         with pytest.raises(ValueError, match="must change the shard count"):
-            Deployment.resharded(2, 2)
+            Deployment.sharded(2, reshard_to=2)
 
-    def test_elastic_needs_at_least_one_shard(self):
-        with pytest.raises(ValueError, match="at least one shard"):
-            Deployment.elastic_sharded(0)
-
-    def test_chaos_and_reshard_targets_need_elastic(self):
-        with pytest.raises(ValueError, match="elastic deployment"):
-            Deployment(num_shards=2, shard_chaos=SHARD_CHAOS_PROFILES["crash"])
-        with pytest.raises(ValueError, match="elastic deployment"):
-            Deployment(num_shards=2, reshard_to=4)
+    def test_chaos_and_reshard_targets_need_a_sharded_deployment(self):
+        with pytest.raises(ValueError, match="need a sharded deployment"):
+            Deployment(shard_chaos=SHARD_CHAOS_PROFILES["crash"])
+        with pytest.raises(ValueError, match="need a sharded deployment"):
+            Deployment(reshard_to=4)
+        for extra in ({"reshard_to": 4}, {"shard_chaos": SHARD_CHAOS_PROFILES["crash"]}):
+            with pytest.raises(ValueError, match="parallel ingest"):
+                Deployment.sharded(2, workers=2, **extra)
 
     def test_describe_names_the_transition_and_chaos(self):
-        assert "2->4-shard" in Deployment.resharded(2, 4).describe()
-        described = Deployment.elastic_sharded(
+        assert "2->4-shard" in Deployment.sharded(2, reshard_to=4).describe()
+        described = Deployment.sharded(
             2, shard_chaos=SHARD_CHAOS_PROFILES["crash_restart"]
         ).describe()
         assert "shardchaos=crash_restart" in described
 
     def test_ledger_count_covers_the_destination(self):
-        assert Deployment.resharded(2, 4).ledger_count == 4
-        assert Deployment.resharded(4, 2).ledger_count == 4
+        assert Deployment.sharded(2, reshard_to=4).ledger_count == 4
+        assert Deployment.sharded(4, reshard_to=2).ledger_count == 4
         assert Deployment.sharded(3).ledger_count == 3
 
 
@@ -146,7 +146,7 @@ class TestEvictHost:
 class TestReshardCoordinator:
     def _elastic(self, from_shards=2, to_shards=4):
         framework = MintFramework(
-            deployment=Deployment.resharded(from_shards, to_shards),
+            deployment=Deployment.sharded(from_shards, reshard_to=to_shards),
             auto_warmup_traces=5,
         )
         return framework
@@ -154,7 +154,7 @@ class TestReshardCoordinator:
     def test_requires_an_elastic_backend(self):
         backend = MintBackend()
         transport = LocalTransport(backend, ledger=OverheadLedger())
-        with pytest.raises(TypeError, match="elastic deployment"):
+        with pytest.raises(TypeError, match="sharded deployment"):
             ReshardCoordinator(backend, transport, 4)
 
     def test_rejects_non_positive_destinations(self):
@@ -229,11 +229,15 @@ class TestReshardCoordinator:
         assert placement_violations(framework.backend) == []
 
     def test_reshard_without_a_target_is_an_error(self):
-        framework = MintFramework(
-            deployment=Deployment.elastic_sharded(2), auto_warmup_traces=5
-        )
+        framework = MintFramework(deployment=Deployment.sharded(2), auto_warmup_traces=5)
         with pytest.raises(ValueError, match="target"):
             framework.reshard()
+        parallel = MintFramework(deployment=Deployment.sharded(2, workers=2))
+        try:
+            with pytest.raises(ValueError, match="parallel ingest"):
+                parallel.reshard(4)
+        finally:
+            parallel.close()
 
 
 class TestReshardBitIdentity:
@@ -248,6 +252,22 @@ class TestReshardBitIdentity:
         assert result.identical, result.violations
         assert result.migration["hosts_moved"] > 0
         assert result.migration_bytes > 0
+
+    def test_plain_sharded_reshards_mid_stream_like_the_fresh_deployment(self):
+        stream, _ = generate_stream(build_onlineboutique(), 120, seed=17)
+        fresh = MintFramework(deployment=Deployment.sharded(4), auto_warmup_traces=40)
+        drive(fresh, stream)
+        live = MintFramework(deployment=Deployment.sharded(2), auto_warmup_traces=40)
+        for index, (now, trace) in enumerate(stream):
+            if index == len(stream) // 2:
+                assert live.reshard(4).hosts_moved > 0
+            live.process_trace(trace, now)
+        live.finalize(stream[-1][0])
+        keys = ("byte_tables", "query_signature", "stored_trace_ids")
+        assert compare_fingerprints(
+            fingerprint(fresh, stream), fingerprint(live, stream), keys=keys
+        ) == []
+        assert placement_violations(live.backend) == []
 
     def test_shrink_is_bit_identical_to_the_fresh_deployment(self):
         result = run_reshard_experiment(

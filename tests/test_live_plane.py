@@ -171,7 +171,7 @@ class TestPushUnderChaos:
 # ---------------------------------------------------------------------------
 class TestSubscriptionsSurviveElasticity:
     def test_live_reshard_preserves_identity(self, stream):
-        framework = MintFramework(deployment=Deployment.resharded(2, 4))
+        framework = MintFramework(deployment=Deployment.sharded(2, reshard_to=4))
         sub = framework.subscribe(QuerySpec.where(error_only=True))
         half = len(stream) // 2
         for now, trace in stream[:half]:
@@ -187,7 +187,7 @@ class TestSubscriptionsSurviveElasticity:
         duration = stream[-1][0]
         chaos = fit_outages(SHARD_CHAOS_PROFILES["crash_restart"], duration)
         framework = MintFramework(
-            deployment=Deployment.elastic_sharded(2, shard_chaos=chaos)
+            deployment=Deployment.sharded(2, shard_chaos=chaos)
         )
         sub = framework.subscribe(QuerySpec.where(error_only=True))
         drive(framework, stream)

@@ -118,7 +118,7 @@ def test_elastic_crash_read_mid_outage_and_after_recovery(stream):
     window = next(o for o in chaos.outages if o.mode == "crash")
     probe_at = (window.start_s + window.end_s) / 2.0
     framework = MintFramework(
-        deployment=Deployment.elastic_sharded(2, shard_chaos=chaos)
+        deployment=Deployment.sharded(2, shard_chaos=chaos)
     )
     framework.warm_up([trace for _, trace in traces[:60]])
     mid = None

@@ -23,7 +23,7 @@ from repro.backend.sharded import ShardedBackend, shard_for_key
 from repro.backend.storage import StoredBloom
 from repro.bloom.bloom_filter import BloomFilter, _digest_pair, sized_for_bytes
 from repro.cold.blocks import decode_bloom_payload, encode_bloom_payload
-from repro.elastic.backend import ElasticShardedBackend
+from repro.elastic.chaos import SHARD_CHAOS_PROFILES
 from repro.framework import MintFramework
 from repro.parsing.span_parser import DURATION_KEY, SpanPattern
 from repro.parsing.string_patterns import WILDCARD, StringTemplate, template_from_text
@@ -290,7 +290,8 @@ class TestRenderMemoStaleness:
 
     @pytest.mark.parametrize("start_down", [False, True])
     def test_outage_renders_and_healthy_renders_never_mix(self, start_down):
-        backend = ElasticShardedBackend(num_shards=2)
+        # Chaos attaches the roster patched below (its crash starts at 5 s; the clock reads 0).
+        backend = ShardedBackend(num_shards=2, shard_chaos=SHARD_CHAOS_PROFILES["crash"])
         first_host, second_host = two_hosts_on_different_shards()
         backend.receive(root_report(first_host, upper=10.0))
         for report in topo_and_bloom_reports(first_host):
