@@ -21,6 +21,11 @@ buffer, sample), instrumented two ways:
 The first ``warmup_traces`` of the stream warm the attribute parsers
 and pattern libraries before any timing starts, so the measured window
 is the steady state the paper cares about: warm patterns, cold bytes.
+
+Every throughput, latency and speedup figure is machine-bound, so it
+lives in the ``timing`` section (:data:`WALL_CLOCK`), which ``run.py``
+leaves out of the committed ``BENCH_ingest.json``; the stream counts
+and the byte-invariant record count stay.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ FLAGS = {
     "--quick": dict(action="store_true", help="skip the seed-mode baseline re-measurement"),
     "--min-speedup": dict(type=float, default=3.0, help="gate: fast / seed spans/sec floor"),
 }
+# Report sections that hold wall-clock numbers (not committed).
+WALL_CLOCK = ("timing",)
 # Best-of-N throughput repeats: one batch interval is tens of
 # milliseconds, so a single sample is at the mercy of scheduler noise.
 THROUGHPUT_REPEATS = 5
@@ -139,13 +146,16 @@ def _measurement(
     sub_trace_count: int,
     elapsed: float,
     stats: LatencyStats,
-) -> dict:
-    """One workload's numbers, in the units BENCH_ingest.json records."""
-    return {
+) -> tuple[dict, dict]:
+    """One workload's numbers, in the units BENCH_ingest.json records:
+    the stream counts and their wall-clock ``timing`` row."""
+    counts = {
         "workload": workload_name,
         "traces": len(measured),
         "sub_traces": sub_trace_count,
         "spans": span_count,
+    }
+    return counts, {
         "elapsed_seconds": round(elapsed, 6),
         "spans_per_sec": round(per_second(span_count, elapsed), 1),
         "sub_traces_per_sec": round(per_second(sub_trace_count, elapsed), 1),
@@ -157,8 +167,9 @@ def _measurement(
 
 def measure_ingest(
     workload_name: str, traces: list[Trace], warmup_traces: int, with_baseline: bool = True
-) -> tuple[dict, dict | None]:
-    """Measure warm-pattern ingest, fast and (optionally) under seed mode.
+) -> tuple[tuple[dict, dict], tuple[dict, dict] | None]:
+    """Measure warm-pattern ingest, fast and (optionally) under seed mode;
+    each side is a ``(counts, timing)`` pair.
 
     Builds fresh agents, warms them on the stream's head, then times the
     tail — batched for throughput (best-of-N fresh-agent repeats, the
@@ -232,8 +243,9 @@ def measure(args) -> dict:
         },
         "workloads": {},
         "baseline_seed": {},
-        "speedup_spans_per_sec": {},
+        "timing": {"workloads": {}, "baseline_seed": {}, "speedup_spans_per_sec": {}},
     }
+    timing = report["timing"]
     for name in args.workloads:
         default_total, default_warm = WORKLOAD_SCALE[name]
         fast, seed = measure_ingest(
@@ -242,36 +254,46 @@ def measure(args) -> dict:
             args.warmup_traces or default_warm,
             with_baseline=not args.quick,
         )
-        report["workloads"][name] = fast
+        report["workloads"][name], fast_timing = fast
+        timing["workloads"][name] = fast_timing
         line = (
-            f"{name:16s} fast: {fast['spans_per_sec']:>10.0f} spans/s  "
-            f"p50 {fast['p50_ms']:7.3f} ms  p99 {fast['p99_ms']:7.3f} ms"
+            f"{name:16s} fast: {fast_timing['spans_per_sec']:>10.0f} spans/s  "
+            f"p50 {fast_timing['p50_ms']:7.3f} ms  p99 {fast_timing['p99_ms']:7.3f} ms"
         )
         if seed is not None:
-            report["baseline_seed"][name] = seed
+            report["baseline_seed"][name], seed_timing = seed
+            timing["baseline_seed"][name] = seed_timing
             speedup = (
-                fast["spans_per_sec"] / seed["spans_per_sec"] if seed["spans_per_sec"] else 0.0
+                fast_timing["spans_per_sec"] / seed_timing["spans_per_sec"]
+                if seed_timing["spans_per_sec"]
+                else 0.0
             )
-            report["speedup_spans_per_sec"][name] = round(speedup, 2)
+            timing["speedup_spans_per_sec"][name] = round(speedup, 2)
             line += (
-                f"  | seed: {seed['spans_per_sec']:>10.0f} spans/s"
+                f"  | seed: {seed_timing['spans_per_sec']:>10.0f} spans/s"
                 f"  speedup {speedup:5.2f}x"
             )
         print(line)
-    if report["speedup_spans_per_sec"]:
-        report["min_speedup"] = round(min(report["speedup_spans_per_sec"].values()), 2)
-    if args.check:
-        checked = verify_byte_invariant(build_traces(args.workloads[0], 60))
-        report["byte_invariant_records_checked"] = checked
-        print(f"byte-accounting invariant: {checked} records checked, all exact")
+    if timing["speedup_spans_per_sec"]:
+        timing["min_speedup"] = round(min(timing["speedup_spans_per_sec"].values()), 2)
+    checked = verify_byte_invariant(build_traces(args.workloads[0], 60))
+    report["byte_invariant_records_checked"] = checked
+    print(f"byte-accounting invariant: {checked} records checked, all exact")
     return report
 
 
 def check(report: dict, args) -> list[str]:
-    if not report["speedup_spans_per_sec"]:
-        return ["--check requires the seed baseline (drop --quick)"]
-    return [
+    failures: list[str] = []
+    if not report.get("byte_invariant_records_checked"):
+        failures.append("the byte-accounting invariant checked no records")
+    # Absent from the committed report; every fresh run has it.
+    timing = report.get("timing")
+    if timing is None:
+        return failures
+    if not timing["speedup_spans_per_sec"]:
+        return failures + ["--check requires the seed baseline (drop --quick)"]
+    return failures + [
         f"{name}: speedup {speedup:.2f}x < required {args.min_speedup:.2f}x"
-        for name, speedup in report["speedup_spans_per_sec"].items()
+        for name, speedup in timing["speedup_spans_per_sec"].items()
         if speedup < args.min_speedup
     ]

@@ -31,7 +31,7 @@ SUITES = ("ingest", "sharded", "net", "query", "elastic", "concurrent", "cold", 
 FIRST = object()  # path step: the first key of a dict / index 0 of a list
 # One failing cell per suite: (path into the report, value to plant).
 DOCTORED = {
-    "ingest": (("speedup_spans_per_sec", FIRST), 0.5),
+    "ingest": (("byte_invariant_records_checked",), 0),
     "sharded": (("invariance", FIRST, FIRST, "identical"), False),
     "net": (("convergence", FIRST, FIRST, "converged"), False),
     "query": (("workloads", FIRST, FIRST, "identical"), False),
