@@ -14,9 +14,7 @@ Layout:
 * :mod:`repro.concurrent.worker` — lane-side state + report recorder;
 * :mod:`repro.concurrent.lanes` — bounded thread/process channels;
 * :mod:`repro.concurrent.plane` — the :class:`ParallelIngestPlane`
-  single-writer orchestrator and its collector proxies;
-* :mod:`repro.concurrent.snapshot` — read-only published pattern-plane
-  snapshots (RCU-style: readers never see a half-applied epoch).
+  single-writer orchestrator and its collector proxies.
 
 Worker-count invariance is checked against the system-wide identity
 oracle, :mod:`repro.verify`, which this package does not own.
@@ -24,7 +22,6 @@ oracle, :mod:`repro.verify`, which this package does not own.
 
 from repro.concurrent.lanes import LaneError, ProcessLane, ThreadLane, make_lane
 from repro.concurrent.plane import LaneCollectorProxy, ParallelIngestPlane
-from repro.concurrent.snapshot import PatternPlaneSnapshot
 from repro.concurrent.worker import AgentWorkerState, ReportRecorder
 
 __all__ = [
@@ -32,7 +29,6 @@ __all__ = [
     "LaneCollectorProxy",
     "LaneError",
     "ParallelIngestPlane",
-    "PatternPlaneSnapshot",
     "ProcessLane",
     "ReportRecorder",
     "ThreadLane",

@@ -20,7 +20,8 @@ point the parent has stopped posting and is draining.
 
 Failure is loud, not silent: a lane that raises poisons itself, ships
 the traceback in place of its next reply, and the parent raises
-:class:`LaneError` at the next barrier.  Nondeterminism from a
+:class:`LaneError` at the next barrier; a process lane killed outright
+raises it on the next ``post`` or ``collect``.  Nondeterminism from a
 half-dead lane can therefore never leak into results — exactly what the
 race/stress CI lane hammers on.
 """
@@ -42,7 +43,7 @@ from repro.concurrent.worker import (
 
 #: Inbound command-batch bound per thread lane.  Each entry is a whole
 #: ops batch, so the bound caps in-flight work at
-#: ``QUEUE_BOUND * ops_batch`` sub-traces per lane — deep enough to keep
+#: ``QUEUE_BOUND * OPS_BATCH`` sub-traces per lane — deep enough to keep
 #: a lane busy across an epoch, small enough that a stalled lane
 #: backpressures the producer instead of buffering the run.  (Process
 #: lanes are bounded by the OS pipe buffer instead.)
@@ -83,8 +84,6 @@ def lane_loop(recv: Callable[[], tuple], send: Callable[[tuple], None],
 
 class ThreadLane:
     """One worker state on a daemon thread behind a bounded queue."""
-
-    mode = "thread"
 
     def __init__(
         self,
@@ -154,8 +153,6 @@ class ProcessLane:
     ingested, so a forked child never carries stale fleet state.
     """
 
-    mode = "process"
-
     def __init__(
         self,
         index: int,
@@ -177,8 +174,12 @@ class ProcessLane:
         child_conn.close()
 
     def post(self, cmd: tuple) -> None:
-        """Send one command; blocks when the pipe buffer is full."""
-        self._conn.send(cmd)
+        """Send one command; blocks when the pipe buffer is full and
+        raises :class:`LaneError` when the lane process is gone."""
+        try:
+            self._conn.send(cmd)
+        except OSError as exc:
+            raise LaneError(f"ingest lane {self.index} died") from exc
 
     def collect(self) -> tuple:
         """Block for the next reply; raises :class:`LaneError` on one."""
@@ -217,10 +218,4 @@ LANE_KINDS = {"thread": ThreadLane, "process": ProcessLane}
 def make_lane(mode: str, index: int, config: MintConfig,
               sampler_factories: list[SamplerFactory] | None = None):
     """Construct one lane of the requested kind."""
-    try:
-        kind = LANE_KINDS[mode]
-    except KeyError:
-        raise ValueError(
-            f"unknown worker mode {mode!r}; expected one of {sorted(LANE_KINDS)}"
-        ) from None
-    return kind(index, config, sampler_factories)
+    return LANE_KINDS[mode](index, config, sampler_factories)

@@ -24,9 +24,10 @@ determinism argument:
   sub-trace order with their mark round-trips, and storage is synced
   per trace at that trace's timestamp.  The apply loop is the only
   writer the backend, meters and query plane ever see.
-* **Published snapshots.**  After each apply the plane captures an
-  immutable :class:`PatternPlaneSnapshot` and swaps one reference —
-  the read-mostly pattern plane is served RCU-style, never locked.
+* **One round trip.**  Every parent-initiated collector call —
+  sampling marks, the end-of-run flush, a retroactive pull — goes
+  through :meth:`ParallelIngestPlane._call`: one ``call`` command per
+  lane, emissions stamped by call order and replayed sorted.
 
 Bit-identity with the sequential run therefore holds at any worker
 count, in both lane modes.  The one bound — a params buffer must not
@@ -47,10 +48,9 @@ from collections import defaultdict
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.agent.reports import PatternLibraryReport, Report
+from repro.agent.reports import Report
 from repro.backend.sharded import shard_for_key
 from repro.concurrent.lanes import LaneError, make_lane
-from repro.concurrent.snapshot import PatternPlaneSnapshot
 from repro.concurrent.worker import SamplerFactory, Stamp
 from repro.obs.trace import NULL_OBSERVER, Observer
 
@@ -63,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Sub-trace ops buffered per lane before a batch is posted — amortises
 #: queue/pipe traffic without delaying work past an epoch (the barrier
 #: flushes partial batches).
-DEFAULT_OPS_BATCH = 32
+OPS_BATCH = 32
 
 
 class LaneCollectorProxy:
@@ -89,7 +89,7 @@ class LaneCollectorProxy:
 
     def mark_sampled(self, trace_id: str) -> None:
         """Queue the backend's sampling mark for the owning lane."""
-        self._plane._queue_mark(self, trace_id)
+        self._plane._mark_queue.append((self, (trace_id,)))
 
     def request_params(self, trace_id: str) -> bool:
         """Synchronous pull round-trip to the owning lane."""
@@ -105,23 +105,16 @@ class ParallelIngestPlane:
         transport: "Transport",
         config: "MintConfig",
         workers: int,
-        mode: str = "thread",
-        ingest_epoch: int = 32,
-        set_now: Callable[[float], None] | None = None,
-        sampler_factories: list[SamplerFactory] | None = None,
-        ops_batch: int = DEFAULT_OPS_BATCH,
+        mode: str,
+        ingest_epoch: int,
+        set_now: Callable[[float], None],
+        sampler_factories: list[SamplerFactory],
     ) -> None:
-        if workers <= 0:
-            raise ValueError("a parallel ingest plane needs at least one worker")
-        if ingest_epoch <= 0:
-            raise ValueError("ingest_epoch must be a positive trace count")
         self.backend = backend
         self.transport = transport
         self.workers = workers
-        self.mode = mode
         self.ingest_epoch = ingest_epoch
-        self._set_now = set_now if set_now is not None else (lambda now: None)
-        self._ops_batch = ops_batch
+        self._set_now = set_now
         self._lanes = [
             make_lane(mode, i, config, sampler_factories) for i in range(workers)
         ]
@@ -132,10 +125,7 @@ class ParallelIngestPlane:
         self._seq = 0
         self._epochs_applied = 0
         # Marks queued by proxies during the apply loop's notifications.
-        self._mark_queue: list[tuple[int, int, str, str]] = []
-        self._mark_order = 0
-        self._snapshot = PatternPlaneSnapshot.empty()
-        self._patterns_dirty = False
+        self._mark_queue: list[tuple[LaneCollectorProxy, tuple]] = []
         self._stopped = False
         self.bind_observer(NULL_OBSERVER)
 
@@ -197,7 +187,7 @@ class ParallelIngestPlane:
             proxy = self._proxy_for(sub_trace.node, joined)
             buffer = self._op_buffers[proxy.lane_index]
             buffer.append((seq, sub_idx, now, sub_trace))
-            if len(buffer) >= self._ops_batch:
+            if len(buffer) >= OPS_BATCH:
                 self._lanes[proxy.lane_index].post(("ops", buffer))
                 self._op_buffers[proxy.lane_index] = []
         if len(self._epoch_meta) >= self.ingest_epoch:
@@ -220,20 +210,8 @@ class ParallelIngestPlane:
         ``finalize`` loop would have.
         """
         self._apply_epoch()
-        per_lane: dict[int, list] = defaultdict(list)
-        for order, proxy in enumerate(self._proxies.values()):
-            per_lane[proxy.lane_index].append((order, proxy.node))
         self._set_now(now)
-        for lane_index, items in per_lane.items():
-            self._lanes[lane_index].post(("flush", items, now))
-        merged: list[tuple[Stamp, Report]] = []
-        for lane_index in per_lane:
-            reply = self._lanes[lane_index].collect()
-            merged.extend(reply[1])
-        merged.sort(key=lambda item: item[0])
-        for _, report in merged:
-            self._deliver(report)
-        self._publish_snapshot()
+        self._call("flush", [(proxy, (now,)) for proxy in self._proxies.values()])
 
     # ------------------------------------------------------------------
     # The single-writer apply step
@@ -268,8 +246,7 @@ class ParallelIngestPlane:
             sampled.extend(reply[2])
             if observed and reply[1]:
                 self._obs_lane_reports[index].inc(len(reply[1]))
-            if len(reply) > 3 and reply[3]:
-                overflows.extend((index, info) for info in reply[3])
+            overflows.extend((index, info) for info in reply[3])
         if observed:
             # Wall time the parent spent waiting on the slowest lane —
             # the barrier cost the McKenney-style read-mostly split is
@@ -310,59 +287,54 @@ class ParallelIngestPlane:
             for proxy in joined:
                 self.backend.register_collector(proxy)
             for _, report in reports_by_seq.get(seq, ()):
-                self._deliver(report)
+                self.transport.deliver(report)
             for _, _, node, trace_id in sampled_by_seq.get(seq, ()):
                 self.backend.notify_sampled(trace_id, origin_node=node)
             self._flush_marks()
             self.transport.sync_storage()
         self._epoch_meta = []
         self._epochs_applied += 1
-        self._publish_snapshot()
-
-    def _deliver(self, report: Report) -> None:
-        self.transport.deliver(report)
-        if isinstance(report, PatternLibraryReport):
-            self._patterns_dirty = True
-
-    def _queue_mark(self, proxy: LaneCollectorProxy, trace_id: str) -> None:
-        order = self._mark_order
-        self._mark_order += 1
-        self._mark_queue.append((order, proxy.lane_index, proxy.node, trace_id))
 
     def _flush_marks(self) -> None:
         """Round-trip queued sampling marks and replay their uploads.
 
         The backend queued marks in collector-registration order; the
-        stamp sort below replays the resulting params uploads in that
-        same order, matching the sequential interleaving (meter buckets
-        are time-keyed sums, so ping-vs-upload micro-order within the
-        instant is unobservable).
+        stamp sort in :meth:`_call` replays the resulting params uploads
+        in that same order, matching the sequential interleaving (meter
+        buckets are time-keyed sums, so ping-vs-upload micro-order
+        within the instant is unobservable).
         """
-        if not self._mark_queue:
-            return
-        per_lane: dict[int, list] = defaultdict(list)
-        for order, lane_index, node, trace_id in self._mark_queue:
-            per_lane[lane_index].append((order, node, trace_id))
-        self._mark_queue = []
-        self._mark_order = 0
-        for lane_index, items in per_lane.items():
-            self._lanes[lane_index].post(("mark", items))
-        merged: list[tuple[Stamp, Report]] = []
-        for lane_index in per_lane:
-            reply = self._lanes[lane_index].collect()
-            merged.extend(reply[1])
-        merged.sort(key=lambda item: item[0])
-        for _, report in merged:
-            self._deliver(report)
+        marks, self._mark_queue = self._mark_queue, []
+        self._call("mark_sampled", marks)
 
     def _pull(self, proxy: LaneCollectorProxy, trace_id: str) -> bool:
         """Synchronous retroactive pull against one lane collector."""
-        lane = self._lanes[proxy.lane_index]
-        lane.post(("pull", proxy.node, trace_id))
-        _, buffered, reports = lane.collect()
-        for _, report in reports:
-            self._deliver(report)
-        return buffered
+        return self._call("request_params", [(proxy, (trace_id,))])[0]
+
+    def _call(self, method: str, calls: list[tuple[LaneCollectorProxy, tuple]]) -> list:
+        """One lane round trip: ``collector.method(*args)`` per call.
+
+        Each owning lane gets one ``call`` command carrying its share;
+        the emissions come back stamped with their call's position, so
+        the stamp sort replays them through the transport in call order
+        whatever the lane split.  Returns the results in call order.
+        """
+        per_lane: dict[int, list] = defaultdict(list)
+        for order, (proxy, args) in enumerate(calls):
+            per_lane[proxy.lane_index].append((order, proxy.node, args))
+        for lane_index, items in per_lane.items():
+            self._lanes[lane_index].post(("call", method, items))
+        results: list[tuple[int, object]] = []
+        merged: list[tuple[Stamp, Report]] = []
+        for lane_index in per_lane:
+            _, lane_results, reports = self._lanes[lane_index].collect()
+            results.extend(lane_results)
+            merged.extend(reports)
+        merged.sort(key=lambda item: item[0])
+        for _, report in merged:
+            self.transport.deliver(report)
+        results.sort(key=lambda item: item[0])
+        return [result for _, result in results]
 
     # ------------------------------------------------------------------
     # Fleet wiring
@@ -378,34 +350,9 @@ class ParallelIngestPlane:
             joined.append(proxy)
         return proxy
 
-    @property
-    def nodes(self) -> list[str]:
-        """Discovered nodes, registration order."""
-        return list(self._proxies)
-
-    # ------------------------------------------------------------------
-    # Published pattern plane
-    # ------------------------------------------------------------------
-    def pattern_snapshot(self) -> PatternPlaneSnapshot:
-        """The latest published snapshot (atomic reference read)."""
-        return self._snapshot
-
-    def _publish_snapshot(self) -> None:
-        if not self._patterns_dirty:
-            return
-        self._snapshot = PatternPlaneSnapshot.capture(
-            self.backend.storage, self._snapshot.version + 1
-        )
-        self._patterns_dirty = False
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def epochs_applied(self) -> int:
-        """How many apply barriers have run (diagnostics)."""
-        return self._epochs_applied
-
     def shutdown(self) -> None:
         """Stop every lane; idempotent, never raises."""
         if self._stopped:

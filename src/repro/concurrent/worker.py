@@ -22,19 +22,18 @@ Command protocol (tuples; first element is the op):
                                 overflows)`` and reset the accumulators;
                                 ``overflows`` reports any params-buffer
                                 eviction since the previous barrier
-``("mark", items)``             backend-initiated sampling marks;
-                                items are ``(order, node, trace_id)``;
-                                reply ``("reports", reports)``
-``("flush", items, now)``       end-of-run collector flush; items are
-                                ``(order, node)``; reply as ``mark``
-``("pull", node, trace_id)``    retroactive parameter pull; reply
-                                ``("pull", buffered, reports)``
+``("call", method, items)``     parent-initiated collector calls
+                                (sampling marks, the end-of-run
+                                flush, a retroactive pull); items are
+                                ``(order, node, args)``; reply
+                                ``("called", results, reports)`` with
+                                ``results`` as ``(order, result)``
 ``("stop",)``                   reply ``("bye",)`` and exit
 ==============================  =======================================
 
 Replies carrying reports list ``(stamp, report)`` pairs; a stamp is the
-command's context prefix — ``(seq, sub_idx)`` for ingest ops, a global
-``(order,)`` for marks and flushes — plus an emission ordinal, so a
+command's context prefix — ``(seq, sub_idx)`` for ingest ops, the
+call's ``(order,)`` for calls — plus an emission ordinal, so a
 lexicographic sort across lanes reconstructs the exact order a
 single-threaded run would have delivered them in.
 """
@@ -57,7 +56,7 @@ SamplerFactory = Callable[[], Sampler]
 #: Ops that must produce exactly one reply on the lane's outbound
 #: channel.  Everything else is fire-and-forget: per-lane FIFO ordering
 #: of the inbound channel is the only synchronisation those need.
-REPLYING_COMMANDS = frozenset({"barrier", "mark", "flush", "pull", "stop"})
+REPLYING_COMMANDS = frozenset({"barrier", "call", "stop"})
 
 
 class ReportRecorder:
@@ -196,31 +195,10 @@ class AgentWorkerState:
             self._evicted_bytes_seen[node] = buffer.evicted_bytes
         return out
 
-    def _cmd_mark(self, items: list[tuple[int, str, str]]) -> tuple:
+    def _cmd_call(self, method: str, items: list[tuple[int, str, tuple]]) -> tuple:
+        results: list[tuple[int, Any]] = []
         out: list[tuple[Stamp, Report]] = []
-        for order, node, trace_id in items:
-            collector = self._collectors.get(node)
-            if collector is None:
-                continue
+        for order, node, args in items:
             self._recorder.begin(out, (order,))
-            collector.mark_sampled(trace_id)
-        return ("reports", out)
-
-    def _cmd_flush(self, items: list[tuple[int, str]], now: float) -> tuple:
-        out: list[tuple[Stamp, Report]] = []
-        for order, node in items:
-            collector = self._collectors.get(node)
-            if collector is None:
-                continue
-            self._recorder.begin(out, (order,))
-            collector.flush(now)
-        return ("reports", out)
-
-    def _cmd_pull(self, node: str, trace_id: str) -> tuple:
-        out: list[tuple[Stamp, Report]] = []
-        buffered = False
-        collector = self._collectors.get(node)
-        if collector is not None:
-            self._recorder.begin(out, (0,))
-            buffered = collector.request_params(trace_id)
-        return ("pull", buffered, out)
+            results.append((order, getattr(self._collectors[node], method)(*args)))
+        return ("called", results, out)

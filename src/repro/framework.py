@@ -372,21 +372,6 @@ class MintFramework(TracingFramework):
         """
         return self.transport.meters[PUSH.meter].total_bytes
 
-    # ------------------------------------------------------------------
-    # Concurrent-plane surface (parallel deployments only)
-    # ------------------------------------------------------------------
-    def pattern_snapshot(self):
-        """The published read-only pattern-plane snapshot, or None.
-
-        Parallel deployments publish an immutable
-        :class:`~repro.concurrent.snapshot.PatternPlaneSnapshot` after
-        every apply barrier; readers on any thread may hold it without
-        locking.  None on single-threaded deployments (read the backend
-        store directly there)."""
-        if self._plane is None:
-            return None
-        return self._plane.pattern_snapshot()
-
     def close(self) -> None:
         """Release run resources (worker lanes); idempotent.
 

@@ -1,4 +1,4 @@
-"""The concurrent ingest plane: lanes, proxies, barriers, snapshots.
+"""The concurrent ingest plane: lanes, proxies, barriers, mid-run reads.
 
 The load-bearing contract here is worker-count invariance — a parallel
 deployment at ANY worker count, in EITHER lane mode, must be
@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 
 import pytest
 
 from repro.concurrent.lanes import LaneError, ProcessLane, ThreadLane, make_lane
-from repro.concurrent.snapshot import PatternPlaneSnapshot
 from repro.framework import MintFramework
-from repro.sim.concurrent import run_snapshot_experiment
 from repro.sim.experiment import drive as sim_drive
 from repro.sim.experiment import generate_stream
 from repro.transport import Deployment
@@ -99,7 +98,7 @@ class TestWorkerCountInvariance:
                 stream,
             )
             sequential_print = fingerprint(sequential, stream)
-            epochs_applied = set()
+            epoch_counts = set()
             for workers in worker_counts:
                 framework = drive(
                     MintFramework(
@@ -113,11 +112,12 @@ class TestWorkerCountInvariance:
                         sequential_print, fingerprint(framework, stream)
                     )
                     assert violations == [], (shards, workers)
-                    epochs_applied.add(framework._plane.epochs_applied)
+                    counters = framework.obs_report(deterministic=True)["metrics"]["counters"]
+                    epoch_counts.add(counters['mint_epochs_applied{plane="concurrent"}'])
                 finally:
                     framework.close()
             # Epoch application is worker-count independent by design.
-            assert len(epochs_applied) == 1, shards
+            assert len(epoch_counts) == 1, shards
 
     def test_host_first_seen_mid_epoch(self, boutique_workload):
         # Warm-up 20 < epoch 32: ob-node-3 first shows in trace 22, so
@@ -184,29 +184,28 @@ class TestWorkerCountInvariance:
                 framework.close()
 
 
-class TestHarness:
-    def test_run_snapshot_experiment_clean(self, boutique_workload):
-        violations = run_snapshot_experiment(
-            boutique_workload, num_traces=120, warmup_traces=50, workers=2
-        )
-        assert violations == []
-
-
 class TestMidRunReads:
-    def test_queries_quiesce_partial_epochs(self, stream):
+    @pytest.mark.parametrize("shards", [0, 2], ids=["single", "sharded-2"])
+    def test_queries_quiesce_partial_epochs(self, stream, shards):
+        # Every probe lands mid-epoch (epoch 64, probe every 20 traces)
+        # and must see exactly the sequential twin's prefix.
         parallel = MintFramework(
             auto_warmup_traces=WARMUP,
-            deployment=Deployment.single(workers=STRESS_WORKERS, ingest_epoch=64),
+            deployment=Deployment(
+                num_shards=shards, workers=STRESS_WORKERS, ingest_epoch=64
+            ),
         )
-        twin = MintFramework(auto_warmup_traces=WARMUP)
+        twin = MintFramework(
+            auto_warmup_traces=WARMUP, deployment=Deployment(num_shards=shards)
+        )
         try:
-            for now, trace in stream[:100]:
+            for index, (now, trace) in enumerate(stream[:100], start=1):
                 parallel.process_trace(trace, now)
                 twin.process_trace(trace, now)
-            probe = stream[99][1].trace_id
-            ours, theirs = parallel.query(probe), twin.query(probe)
-            assert ours.status == theirs.status
-            assert parallel.stored_trace_ids() == twin.stored_trace_ids()
+                if index % 20 == 0:
+                    ours, theirs = parallel.query(trace.trace_id), twin.query(trace.trace_id)
+                    assert ours.status == theirs.status, index
+                    assert parallel.stored_trace_ids() == twin.stored_trace_ids(), index
         finally:
             parallel.close()
             twin.close()
@@ -232,38 +231,6 @@ class TestMidRunReads:
             twin.close()
 
 
-class TestSnapshots:
-    def test_snapshot_is_immutable_and_versioned(self, stream):
-        framework = drive(
-            MintFramework(
-                auto_warmup_traces=WARMUP, deployment=Deployment.single(workers=2)
-            ),
-            stream,
-        )
-        try:
-            snapshot = framework.pattern_snapshot()
-            assert snapshot.version >= 1
-            assert len(snapshot) > 0
-            with pytest.raises(TypeError):
-                snapshot.span_patterns["boom"] = None  # type: ignore[index]
-            some_id = snapshot.pattern_ids()[0]
-            assert snapshot.get(some_id) is not None
-            assert snapshot.get("missing") is None
-        finally:
-            framework.close()
-
-    def test_empty_snapshot(self):
-        snapshot = PatternPlaneSnapshot.empty()
-        assert snapshot.version == 0
-        assert len(snapshot) == 0
-        assert snapshot.pattern_ids() == ()
-
-    def test_sequential_deployment_has_no_snapshot(self):
-        framework = MintFramework()
-        assert framework.pattern_snapshot() is None
-        framework.close()  # no-op, must not raise
-
-
 class TestLanes:
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_lane_error_propagates_with_traceback(self, mode):
@@ -278,11 +245,25 @@ class TestLanes:
         finally:
             lane.stop()
 
-    def test_make_lane_rejects_unknown_mode(self):
-        from repro.agent.config import MintConfig
-
-        with pytest.raises(ValueError, match="unknown worker mode"):
-            make_lane("fiber", 0, MintConfig())
+    def test_killed_process_lane_raises_lane_error(self, stream):
+        framework = MintFramework(
+            auto_warmup_traces=40,
+            deployment=Deployment.single(
+                workers=2, worker_mode="process", ingest_epoch=16
+            ),
+        )
+        try:
+            for now, trace in stream[:60]:
+                framework.process_trace(trace, now)
+            lane = framework._plane._lanes[0]
+            os.kill(lane._proc.pid, signal.SIGKILL)
+            lane._proc.join(timeout=10.0)
+            assert not lane._proc.is_alive()
+            with pytest.raises(LaneError, match="ingest lane 0 died"):
+                for now, trace in stream[60:]:
+                    framework.process_trace(trace, now)
+        finally:
+            framework.close()
 
     @pytest.mark.parametrize("kind", [ThreadLane, ProcessLane])
     def test_stop_is_idempotent(self, kind):
@@ -326,3 +307,4 @@ class TestDeploymentDescriptor:
             assert "2w-thread" in framework.name
         finally:
             framework.close()
+        MintFramework().close()  # sequential: nothing to release, no-op

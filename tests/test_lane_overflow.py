@@ -12,6 +12,8 @@ epoch's reports, instead of diverging quietly.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.agent.config import MintConfig
@@ -20,13 +22,14 @@ from repro.framework import MintFramework
 from repro.sim.experiment import drive as sim_drive
 from repro.sim.experiment import generate_stream
 from repro.transport import Deployment
-from repro.workloads import build_onlineboutique
 
 NUM_TRACES = 96
 WARMUP = 24
 #: Big enough to survive warm-up uploads, far too small for an epoch's
 #: buffered parameters once sampling marks are deferred to the barrier.
 TINY_BUFFER = 2048
+# The race/stress CI lane exports a randomized worker count.
+STRESS_WORKERS = int(os.environ.get("CONCURRENT_STRESS_WORKERS", "3"))
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +67,7 @@ class TestLaneOverflowDetection:
         assert "ingest_epoch" in message
 
     def test_detection_is_deterministic_across_worker_counts(self, stream):
-        for workers in (2, 4):
+        for workers in (2, 4, STRESS_WORKERS):
             framework = MintFramework(
                 config=MintConfig(params_buffer_bytes=TINY_BUFFER),
                 auto_warmup_traces=WARMUP,
