@@ -230,14 +230,17 @@ def seed_is_numeric_outlier(self, key: str, value: float) -> bool:
 
 
 def seed_buffer_add(self, parsed: ParsedSpan) -> None:
-    """Seed ParamsBuffer.add: block delegation + unconditional evict."""
+    """Seed ParamsBuffer.add: append to the block + unconditional evict."""
     from repro.agent.params_buffer import ParamsBlock
 
     block = self._blocks.get(parsed.trace_id)
     if block is None:
         block = ParamsBlock(trace_id=parsed.trace_id)
         self._blocks[parsed.trace_id] = block
-    self._used_bytes += block.add(parsed)
+    added = parsed.params_size_bytes()
+    block.spans.append(parsed)
+    block.size_bytes += added
+    self._used_bytes += added
     self._evict_until_fits()
 
 

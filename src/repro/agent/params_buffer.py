@@ -24,13 +24,6 @@ class ParamsBlock:
     spans: list[ParsedSpan] = field(default_factory=list)
     size_bytes: int = 0
 
-    def add(self, parsed: ParsedSpan) -> int:
-        """Append one span's parameters; returns the bytes added."""
-        added = parsed.params_size_bytes()
-        self.spans.append(parsed)
-        self.size_bytes += added
-        return added
-
 
 class ParamsBuffer:
     """FIFO queue of per-trace parameter blocks with a byte budget."""
@@ -75,7 +68,6 @@ class ParamsBuffer:
         if block is None:
             block = ParamsBlock(trace_id=parsed.trace_id)
             self._blocks[parsed.trace_id] = block
-        # Inlined ParamsBlock.add: this runs once per ingested span.
         added = parsed.params_size_bytes()
         block.spans.append(parsed)
         block.size_bytes += added

@@ -246,7 +246,9 @@ class MintFramework(TracingFramework):
         A networked transport is then drained to quiescence — pending
         batches flushed, in-flight retries delivered and acked — before
         the final storage sync, so queries after ``finalize`` always
-        see the converged store.
+        see the converged store.  A standing query's raising ``on_push``
+        callback is re-raised only after that sync, so the store and
+        the ledgers are complete either way.
         """
         self._now = now
         if not self._warmed_up and self._warmup_queue:
@@ -270,6 +272,8 @@ class MintFramework(TracingFramework):
             self._live.settle()
             self.transport.drain()
         self.transport.sync_storage()
+        if self._live is not None and self._live.callback_error is not None:
+            raise self._live.callback_error
 
     # ------------------------------------------------------------------
     # Query plane

@@ -263,6 +263,11 @@ class LiveQueryPlane:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def callback_error(self) -> Exception | None:
+        """The first subscription's kept ``on_push`` error, or None."""
+        return next((s.error for s in self._by_id.values() if s.error is not None), None)
+
     def stats(self) -> dict[str, object]:
         """Deterministic plane counters for reports and benches."""
         return {
@@ -275,6 +280,7 @@ class LiveQueryPlane:
             "delivered": self._delivered,
             "duplicates": self._duplicates,
             "dropped": self._dropped,
+            "callback_errors": sum(s.callback_errors for s in self._by_id.values()),
             "push_bytes": self._transport.meters[PUSH.meter].total_bytes,
             "per_subscription": [
                 self._by_id[sid].summary() for sid in sorted(self._by_id)

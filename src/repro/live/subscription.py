@@ -60,6 +60,11 @@ class Subscription:
     the wire did), and an optional ``on_push`` callback fired once per
     accepted push — the seam the incident harness hangs its
     detection-latency probe on.
+
+    A raising callback never aborts delivery: the push still counts,
+    the subscription stays active, ``callback_errors`` counts every
+    failure and ``error`` keeps the first, which ``finalize`` re-raises
+    once the store has settled and been metered.
     """
 
     id: str
@@ -67,6 +72,8 @@ class Subscription:
     active: bool = True
     on_push: PushCallback | None = None
     hits: list[PushNotification] = field(default_factory=list)
+    error: Exception | None = None
+    callback_errors: int = 0
     # Receive-side dedup: trace ids already accepted.  The wire's
     # reliable layer is exactly-once per link, but idempotence here is
     # the subscription's own guarantee — it must hold under repeated
@@ -95,7 +102,12 @@ class Subscription:
         self._delivered.add(note.trace_id)
         self.hits.append(note)
         if self.on_push is not None:
-            self.on_push(note, now)
+            try:
+                self.on_push(note, now)
+            except Exception as exc:
+                self.callback_errors += 1
+                if self.error is None:
+                    self.error = exc
         return True
 
     @property

@@ -252,6 +252,7 @@ class NetTransport(LocalTransport):
         ingest/finalize path — so ``_enqueue``'s immediate pump cannot
         re-enter.)
         """
+        self._sink(cls)
         self._advance()
         link, size = self._charge(message, cls)
         self._enqueue(link, cls, message, size)

@@ -7,6 +7,12 @@ Two levels of parsing (paper Section 3):
   co-occurring attribute patterns form span patterns.
 * **inter-trace** (:mod:`repro.parsing.trace_parser`) — per-node
   sub-traces are encoded as topology patterns over span pattern ids.
+
+A module-level memo holds only immutable values derived from pattern
+content, never per-span data, so it outlives no framework's spans: the
+record skeleton size per parameter key set (``span_parser``), the topo
+pattern per canonical sub-trace shape (``trace_parser``) and the
+template per pattern text (``string_patterns.template_from_text``).
 """
 
 from repro.parsing.attribute_parser import (

@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable
 
-from repro.model.encoding import JSON_ESCAPE_RE, encoded_size, json_value_size
+from repro.model.encoding import (
+    JSON_ESCAPE_RE,
+    encoded_size,
+    json_string_size,
+    json_value_size,
+)
 from repro.model.span import Span, SpanKind, SpanStatus
 from repro.parsing.attribute_parser import ParamValue, StringAttributeParser
 from repro.parsing.numeric_buckets import NumericBucketer
@@ -279,7 +284,7 @@ class ParsedSpan:
                     size += json_value_size(value)
         else:
             size = _record_base_size(tuple(params))
-            size += _cached_str_size(self.pattern_id)
+            size += json_string_size(self.pattern_id)
             for value in params.values():
                 cls = value.__class__
                 if cls is float:
@@ -301,7 +306,7 @@ class ParsedSpan:
                 size += len(text) + 2
             else:
                 size += len(text) + 2 if search(text) is None else len(dumps(text))
-        size += _cached_str_size(self.node)
+        size += json_string_size(self.node)
         start_time = self.start_time
         if start_time.__class__ is float and isfinite(start_time):
             size += len(repr(start_time))
@@ -316,58 +321,23 @@ class ParsedSpan:
 # zero-size variable slots) so the fast sizer cannot drift from it.
 _RECORD_BASE_CACHE: dict[tuple[str, ...], int] = {}
 
-# Encoded size per parameter-fill list, keyed by object identity: value
-# memos and span plans share one list object per distinct attribute
-# value, so the same list is sized for thousands of spans.  The entry
-# keeps a strong reference to the list, which both pins the id and
-# guarantees the identity check stays valid.  Bounded; misses just
-# recompute.
-_LIST_SIZE_CACHE: dict[int, tuple[list, int]] = {}
-_LIST_SIZE_CACHE_CAP = 1 << 16
-
-# Encoded size per repeated short string (node names, pattern ids):
-# one dict hit instead of an escape scan per span.
-_STR_SIZE_CACHE: dict[str, int] = {}
-_STR_SIZE_CACHE_CAP = 1 << 12
-
-
-def _cached_str_size(text: str) -> int:
-    size = _STR_SIZE_CACHE.get(text)
-    if size is None:
-        size = (
-            len(text) + 2
-            if JSON_ESCAPE_RE.search(text) is None
-            else len(_json.dumps(text))
-        )
-        if len(_STR_SIZE_CACHE) < _STR_SIZE_CACHE_CAP:
-            _STR_SIZE_CACHE[text] = size
-    return size
-
 
 def _param_list_size(value: list) -> int:
-    """Exact JSON size of one parameter-fill list, memoised by identity."""
-    entry = _LIST_SIZE_CACHE.get(id(value))
-    if entry is not None and entry[0] is value:
-        return entry[1]
-    if value:
-        search = JSON_ESCAPE_RE.search
-        size = 1 + len(value)
-        for item in value:
-            if item.__class__ is str:
-                # ASCII-alphanumeric needs no escaping; the two C-level
-                # predicates are cheaper than the regex scan they skip.
-                if item.isalnum() and item.isascii():
-                    size += len(item) + 2
-                else:
-                    size += (
-                        len(item) + 2 if search(item) is None else len(_json.dumps(item))
-                    )
+    """Exact JSON size of one parameter-fill list."""
+    if not value:
+        return 2
+    search = JSON_ESCAPE_RE.search
+    size = 1 + len(value)
+    for item in value:
+        if item.__class__ is str:
+            # ASCII-alphanumeric needs no escaping; the two C-level
+            # predicates are cheaper than the regex scan they skip.
+            if item.isalnum() and item.isascii():
+                size += len(item) + 2
             else:
-                size += json_value_size(item)
-    else:
-        size = 2
-    if len(_LIST_SIZE_CACHE) < _LIST_SIZE_CACHE_CAP:
-        _LIST_SIZE_CACHE[id(value)] = (value, size)
+                size += len(item) + 2 if search(item) is None else len(_json.dumps(item))
+        else:
+            size += json_value_size(item)
     return size
 
 
@@ -711,7 +681,7 @@ class SpanParser:
             plan_key = _plan_key(span, attributes, vol_set)
             # Pre-size the constant part of the params record: skeleton,
             # pattern id, and every stable parameter list.
-            size_fixed = _record_base_size(tuple(params)) + _cached_str_size(pattern_id)
+            size_fixed = _record_base_size(tuple(params)) + json_string_size(pattern_id)
             var_spec: list[tuple[str, bool]] = []
             vol_slots: list[tuple] = []
             params_template = dict(params)

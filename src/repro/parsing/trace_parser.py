@@ -203,23 +203,6 @@ class TraceParser:
         )
 
 
-# Sub-trace topologies repeat heavily under steady traffic; memoising
-# each subtree's repr string avoids re-rendering the same nested tuples
-# for every sub-trace's canonical child sort.  Bounded so a pathological
-# stream of novel topologies cannot grow it without limit.
-_NODE_REPR_CACHE: dict[TopoNode, str] = {}
-_NODE_REPR_CACHE_CAP = 1 << 16
-
-
-def _node_sort_key(node: TopoNode) -> str:
-    key = _NODE_REPR_CACHE.get(node)
-    if key is None:
-        key = repr(node)
-        if len(_NODE_REPR_CACHE) < _NODE_REPR_CACHE_CAP:
-            _NODE_REPR_CACHE[node] = key
-    return key
-
-
 def _span_order(span) -> tuple[float, str]:
     """Deterministic span order (matches ``SubTrace.local_children``)."""
     return (span.start_time, span.span_id)
@@ -292,7 +275,7 @@ def extract_topo_pattern(
                 kids = sorted(kids, key=_span_order)
             children = [build(kid) for kid in kids]
             if len(children) > 1:
-                children.sort(key=_node_sort_key)
+                children.sort(key=repr)
             return (parsed[span.span_id].pattern_id, tuple(children))
         return (parsed[span.span_id].pattern_id, ())
 
@@ -304,7 +287,7 @@ def extract_topo_pattern(
         ),
         key=_span_order,
     )
-    roots = tuple(sorted((build(s) for s in entries), key=_node_sort_key))
+    roots = tuple(sorted((build(s) for s in entries), key=repr))
     entry_ops = tuple(sorted({(s.service, s.name) for s in entries}))
     # Exit operations record the *callee* (peer.service attribute when
     # instrumented, else the operation name alone) so the backend can

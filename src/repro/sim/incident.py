@@ -24,10 +24,9 @@ Since the live analyst plane (PR 10) the probe loop has two modes:
 ``push`` rides a standing error-only subscription — each accepted push
 notification is the analyst's pager, and every ``push_probe_every``-th
 one after the fault triggers an RCA probe at the push's wire-time
-arrival stamp; ``poll`` is the original fixed-cadence loop, kept as
-the fallback for ``observability=False`` deployments (and for
-side-by-side comparison in the obs bench).  ``auto`` picks push
-whenever the deployment's observability plane is on.
+arrival stamp, and is the default on every deployment; ``poll`` is
+the original fixed-cadence loop, kept for side-by-side comparison in
+the obs bench.  Observation on or off never changes the answer.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class IncidentResult:
     detected: bool
     faulty_traces: int
     traces: int
-    probe_mode: str = "poll"
+    probe_mode: str = "push"
     probes: list[IncidentProbe] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, Any]:
@@ -186,7 +185,7 @@ def run_incident(
     fault_rate: float = 0.65,
     probe_every: int = 30,
     probe_window: int = DEFAULT_PROBE_WINDOW,
-    probe_mode: str = "auto",
+    probe_mode: str = "push",
     push_probe_every: int = 5,
     seed: int = 11,
     requests_per_minute: float = 6000.0,
@@ -198,13 +197,11 @@ def run_incident(
     subscription: every ``push_probe_every``-th accepted push after the
     fault triggers an RCA probe at the push's arrival time — the pager
     rings, the analyst looks.  In ``poll`` mode the original loop
-    re-runs every ``probe_every`` ingested traces.  ``auto`` picks push
-    when the deployment's observability plane is on, poll otherwise.
-    Either way, if no mid-run probe detects (a lossy wire can keep the
-    store behind the stream for the whole run), a final probe after
-    ``finalize`` runs against the converged store — detection then
-    costs the full drain-to-convergence latency, which is the honest
-    number.
+    re-runs every ``probe_every`` ingested traces.  Either way, if no
+    mid-run probe detects (a lossy wire can keep the store behind the
+    stream for the whole run), a final probe after ``finalize`` runs
+    against the converged store — detection then costs the full
+    drain-to-convergence latency, which is the honest number.
     """
     from repro.framework import MintFramework
     from repro.query.spec import QuerySpec
@@ -217,8 +214,6 @@ def run_incident(
     duration_s = stream[-1][0] if stream else 0.0
     if deployment is None:
         deployment = incident_deployment(topology, profile, duration_s)
-    if probe_mode == "auto":
-        probe_mode = "push" if deployment.observability else "poll"
     if probe_mode not in ("push", "poll"):
         raise ValueError(f"unknown probe_mode {probe_mode!r}")
     framework = MintFramework(deployment=deployment)

@@ -170,8 +170,8 @@ class LocalTransport:
         In-process delivery is synchronous and exactly-once, so no
         message id is attached (the sinks' own dedup still applies
         downstream)."""
+        sink = self._sink(cls)
         self._charge(message, cls)
-        sink = self.sinks[cls.sink]
         if self.observer.enabled:
             start = perf_counter()
             sink(message, None)
@@ -182,6 +182,15 @@ class LocalTransport:
     def wire_now(self) -> float:
         """The wire's clock (the caller's clock on an in-process wire)."""
         return self._clock()
+
+    def _sink(self, cls: TrafficClass) -> Sink:
+        """``cls``'s sink, resolved before ``_charge`` on every wire: a
+        class nothing claims fails at the sender's call, with its meter
+        still untouched."""
+        sink = self.sinks.get(cls.sink)
+        if sink is None:
+            raise KeyError(f"no {cls.sink!r} sink claims {cls.meter!r} traffic")
+        return sink
 
     def _charge(self, message, cls: TrafficClass) -> tuple[str, int]:
         """The single charging site of ``deliver``, on every wire: size

@@ -20,6 +20,7 @@ from repro.net.transport import CHAOS_WIRE
 from repro.query.spec import QuerySpec
 from repro.sim.experiment import drive, generate_stream
 from repro.transport import Deployment
+from repro.verify import byte_tables, meter_series
 from repro.workloads import build_onlineboutique
 from repro.workloads.queries import QueryWorkload
 
@@ -253,6 +254,46 @@ class TestPushMeterSeparation:
         assert report["ledger"]["push_bytes"] == framework.push_bytes
         assert report["live"]["delivered"] == delivered
         framework.close()
+
+
+# ---------------------------------------------------------------------------
+# A raising subscriber callback
+# ---------------------------------------------------------------------------
+class TestRaisingCallback:
+    def test_finalize_completes_then_reraises_the_first_error(self):
+        stream = _stream(400, seed=17)
+        spec = QuerySpec.where(error_only=True)
+
+        def run(on_push):
+            framework = MintFramework(deployment=Deployment.single())
+            sub = framework.subscribe(spec, on_push=on_push)
+            error = None
+            try:
+                drive(framework, stream)
+            except RuntimeError as exc:
+                error = exc
+            facts = (
+                byte_tables(framework),
+                meter_series(framework),
+                framework.ledger.storage.total_bytes,
+                sub.hit_ids,
+            )
+            stats = framework.live_stats()
+            framework.close()
+            return facts, error, sub, stats
+
+        def pager(note, now):
+            raise RuntimeError(f"pager down at {note.trace_id}")
+
+        control, no_error, _, control_stats = run(None)
+        facts, error, sub, stats = run(pager)
+        assert facts == control
+        assert no_error is None and control_stats["callback_errors"] == 0
+        assert len(sub.hit_ids) > 1  # every hit delivered, not just the first
+        assert error is sub.error
+        assert str(error) == f"pager down at {sub.hits[0].trace_id}"
+        assert sub.active
+        assert sub.callback_errors == stats["callback_errors"] == len(sub.hit_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -370,9 +371,18 @@ class TestIncidentHarness:
         assert cell["probes"][-1]["hit"] is True
 
     def test_incident_is_deterministic(self):
+        # The obs-off cell rides the same push pager: turning observation
+        # off must not change the answer.
+        obs_off = replace(
+            incident_deployment("single", "lossless", 0.0), observability=False
+        )
         first = run_incident(num_traces=120, probe_every=30, seed=11)
-        second = run_incident(num_traces=120, probe_every=30, seed=11)
-        assert first.as_dict() == second.as_dict()
+        assert first.probe_mode == "push"
+        for deployment in (None, obs_off):
+            again = run_incident(
+                num_traces=120, probe_every=30, seed=11, deployment=deployment
+            )
+            assert again.as_dict() == first.as_dict()
 
     def test_incident_deployment_rejects_unknown_topology(self):
         with pytest.raises(ValueError, match="incident topology"):

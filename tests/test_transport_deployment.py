@@ -18,6 +18,7 @@ from repro.agent.reports import ParamsReport
 from repro.backend.backend import MintBackend
 from repro.backend.sharded import ShardedBackend
 from repro.framework import MintFramework
+from repro.live.subscription import PushNotification
 from repro.net.chaos import CHAOS_PROFILES
 from repro.net.transport import CHAOS_WIRE, NetworkDescriptor
 from repro.obs.trace import Observer
@@ -29,7 +30,7 @@ from repro.transport import (
     LocalTransport,
     Transport,
 )
-from repro.transport.wire import NETWORK, RETRANSMIT, TRAFFIC_CLASSES
+from repro.transport.wire import NETWORK, PUSH, RETRANSMIT, TRAFFIC_CLASSES
 from tests.conftest import make_chain_trace
 
 
@@ -257,6 +258,22 @@ def test_every_traffic_class_crosses_the_one_verb(cls, wire):
     if cls.byte_counter is not None:
         assert counters[f'{cls.byte_counter}{{plane="transport"}}'] == total
     assert meters[cls.meter].total_bytes == total  # nothing charged at arrival
+
+
+@pytest.mark.parametrize("wire", ["local", "net-lossless"])
+def test_an_unclaimed_sink_fails_at_the_call_before_charging(wire):
+    """No live plane claims ``PUSH``: the sender's own ``deliver``
+    raises, naming the class, and no byte is charged or queued."""
+    deployment = Deployment.single(network=WIRES[wire])
+    backend = deployment.build_backend(MintConfig())
+    transport = deployment.build_transport(backend, OverheadLedger())
+    note = PushNotification(
+        subscription_id="sub-0001", trace_id="t-1", status="exact", matched_at=0.0
+    )
+    with pytest.raises(KeyError, match="'subscriber' sink claims 'push' traffic"):
+        transport.deliver(note, PUSH)
+    assert transport.meters[PUSH.meter].total_bytes == 0
+    transport.drain()  # nothing was queued to fail later
 
 
 class TestBackendPlaneContract:
