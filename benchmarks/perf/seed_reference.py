@@ -115,8 +115,7 @@ def seed_span_parse(self: SpanParser, span, observe_ranges: bool = True) -> Pars
 def seed_attribute_parse(self: StringAttributeParser, value: str) -> ParsedAttribute:
     """Seed StringAttributeParser.parse: template-only value memo (regex
     extraction per hit) and a full hit-count sort per hot-match probe."""
-    cached = self._value_cache.get(value)
-    template = cached[1] if cached is not None else None
+    template = self._value_templates.get(value)
     params: list[str] | None = None
     if template is not None:
         params = template.extract(value)
@@ -150,7 +149,8 @@ def seed_attribute_parse(self: StringAttributeParser, value: str) -> ParsedAttri
     if len(self._value_cache) < self._VALUE_CACHE_CAP:
         # Keep the optimised cache shape so mode switches cannot corrupt
         # parser state; the seed *work* (re-extraction above) still runs.
-        self._value_cache[value] = (parsed, template)
+        self._value_cache[value] = parsed
+        self._value_templates[value] = template
     return parsed
 
 

@@ -22,7 +22,7 @@ from repro.parsing.span_parser import SpanParser, SpanPattern
 from repro.parsing.trace_parser import ParsedSubTrace, TraceParser, extract_topo_pattern
 
 
-@dataclass
+@dataclass(slots=True)
 class IngestResult:
     """Outcome of processing one sub-trace on the agent."""
 
@@ -139,12 +139,10 @@ class MintAgent:
         # hot path; the dataclass __init__ shows up in profiles.  Field
         # semantics (repr/eq) are untouched.
         parsed = ParsedSubTrace.__new__(ParsedSubTrace)
-        parsed.__dict__ = {
-            "trace_id": sub_trace.trace_id,
-            "node": sub_trace.node,
-            "topo_pattern_id": pattern_id,
-            "parsed_spans": ordered,
-        }
+        parsed.trace_id = sub_trace.trace_id
+        parsed.node = sub_trace.node
+        parsed.topo_pattern_id = pattern_id
+        parsed.parsed_spans = ordered
         buffer_add = self.params_buffer.add
         for span in parsed.parsed_spans:
             buffer_add(span)
@@ -167,7 +165,7 @@ class MintAgent:
             observe = library.observe_numeric
             for span in parsed.parsed_spans:
                 span_params = span.params
-                size_plan = span.__dict__.get("_size_plan")
+                size_plan = span._size_plan
                 if size_plan is not None:
                     # Replayed span: the plan's variable spec already
                     # names exactly the numeric parameters.
@@ -180,14 +178,12 @@ class MintAgent:
                         if not isinstance(param, list):
                             observe(span.pattern_id, key, float(param))
         result = IngestResult.__new__(IngestResult)
-        result.__dict__ = {
-            "trace_id": sub_trace.trace_id,
-            "node": self.node,
-            "topo_pattern_id": pattern_id,
-            "sampled": fired is not None,
-            "fired_samplers": fired if fired is not None else [],
-            "parsed": parsed,
-        }
+        result.trace_id = sub_trace.trace_id
+        result.node = self.node
+        result.topo_pattern_id = pattern_id
+        result.sampled = fired is not None
+        result.fired_samplers = fired if fired is not None else []
+        result.parsed = parsed
         return result
 
     def reconstruct_patterns(self) -> None:

@@ -99,9 +99,7 @@ class SymptomSampler:
             params = span.params
             # Replayed spans carry the exact set of list-valued params;
             # the scan then touches only the params that can matter.
-            list_keys = (
-                span.__dict__.get("_param_lists") if duration_only else None
-            )
+            list_keys = span._param_lists if duration_only else None
             if list_keys is not None:
                 if check_words:
                     for key in list_keys:

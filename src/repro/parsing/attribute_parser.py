@@ -64,11 +64,15 @@ class StringAttributeParser:
         self._tree = TemplatePrefixTree()
         # template -> {member value: its word tokens}, in arrival order.
         self._representatives: dict[StringTemplate, dict[str, list[str]]] = {}
-        # Exact value -> (parsed result, template).  Caching the parsed
-        # result (not just the template) lets repeated values skip the
-        # regex extraction entirely; the ParsedAttribute is immutable
-        # and its params list is never mutated by consumers.
-        self._value_cache: dict[str, tuple[ParsedAttribute, StringTemplate]] = {}
+        # Exact value -> parsed result, and -> the template it matched.
+        # Caching the parsed result (not just the template) lets
+        # repeated values skip the regex extraction entirely; the
+        # ParsedAttribute is immutable and its params list is never
+        # mutated by consumers.  Two dicts with the same keys, not one
+        # of pairs: a pair would be one more long-lived container per
+        # memoised value.
+        self._value_cache: dict[str, ParsedAttribute] = {}
+        self._value_templates: dict[str, StringTemplate] = {}
         # Hit counts as single-element mutable cells: a bump is a C-level
         # ``cell[0] += 1`` with no template hashing on the hot path.
         self._hit_counts: dict[StringTemplate, list[int]] = {}
@@ -119,9 +123,8 @@ class StringAttributeParser:
         """
         cached = self._value_cache.get(value)
         if cached is not None:
-            parsed, template = cached
-            self._record_hit(template)
-            return parsed
+            self._record_hit(self._value_templates[value])
+            return cached
         template, params = self._hot_match_extract(value)
         if params is not None and not self._acceptable_mass(value, params):
             template, params = None, None
@@ -150,7 +153,8 @@ class StringAttributeParser:
             key=self.key, kind="string", pattern=template.text, param=params
         )
         if len(self._value_cache) < self._VALUE_CACHE_CAP:
-            self._value_cache[value] = (parsed, template)
+            self._value_cache[value] = parsed
+            self._value_templates[value] = template
         return parsed
 
     @classmethod

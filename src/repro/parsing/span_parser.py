@@ -181,9 +181,16 @@ def _render_range(bounds: tuple[float, float] | None) -> str:
     return f"({fmt(lower)}, {fmt(upper)}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsedSpan:
-    """A span split into its pattern id and variable parameters."""
+    """A span split into its pattern id and variable parameters.
+
+    Slotted: the Params Buffer holds one per buffered span, and an
+    instance dict would be one more container per span for the cyclic
+    collector to traverse.  The two private slots are set only on
+    replayed spans (see :meth:`SpanParser._parse_from_plan`) and are
+    neither compared nor shown.
+    """
 
     trace_id: str
     span_id: str
@@ -192,6 +199,11 @@ class ParsedSpan:
     start_time: float
     pattern_id: str
     params: dict[str, ParamValue] = field(default_factory=dict)
+    # The plan's pre-sized record layout: (fixed bytes, variable spec).
+    _size_plan: Any = field(default=None, init=False, repr=False, compare=False)
+    # Which params are wildcard-fill lists — lets downstream scans
+    # (symptom sampler) skip the per-param type dispatch.
+    _param_lists: Any = field(default=None, init=False, repr=False, compare=False)
 
     def params_record(self) -> dict[str, Any]:
         """The variability record buffered / uploaded for this span."""
@@ -267,7 +279,7 @@ class ParsedSpan:
         search = JSON_ESCAPE_RE.search
         dumps = _json.dumps
         isfinite = _math.isfinite
-        size_plan = self.__dict__.get("_size_plan")
+        size_plan = self._size_plan
         if size_plan is not None:
             # Replayed span: the stable portion (record skeleton, stable
             # parameter lists, pattern id) was sized once when the plan
@@ -642,18 +654,14 @@ class SpanParser:
                     )
                 else:
                     cached = parser._value_cache.get(text)
-                    if cached is not None and cached[0] is parsed:
-                        plan_slots.append((key, cached[1], parsed.param))
+                    if cached is parsed:
+                        template = parser._value_templates[text]
+                        plan_slots.append((key, template, parsed.param))
                         # Flattened bump slot: the count cell and ranked
                         # list are mutated in place and never rebound,
                         # so a replayed span bumps without hashing.
                         plan_bumps.append(
-                            (
-                                parser._hit_counts[cached[1]],
-                                parser._hot_ranked,
-                                cached[1],
-                                parser,
-                            )
+                            (parser._hit_counts[template], parser._hot_ranked, template, parser)
                         )
                     else:
                         # Value fell outside the parser's memo (cache at
@@ -792,26 +800,19 @@ class SpanParser:
                 observe(pattern_id, key, float(attributes[key]))
             observe(pattern_id, DURATION_KEY, duration)
         # Direct construction: the dataclass __init__ is a measurable
-        # per-span cost; the instance dict is assigned wholesale (the
-        # extra _size_plan entry is not a field, so repr/eq semantics
-        # are untouched).  Skipped for the rare re-interned shape, whose
-        # pattern id no longer matches the plan's pre-sized layout.
+        # per-span cost, slot stores are not.  The size plan is left
+        # unset for the rare re-interned shape, whose pattern id no
+        # longer matches the plan's pre-sized layout.
         parsed = ParsedSpan.__new__(ParsedSpan)
-        instance_dict = {
-            "trace_id": span.trace_id,
-            "span_id": span.span_id,
-            "parent_id": span.parent_id,
-            "node": span.node,
-            "start_time": span.start_time,
-            "pattern_id": pattern_id,
-            "params": params,
-            # Which params are wildcard-fill lists — lets downstream
-            # scans (symptom sampler) skip the per-param type dispatch.
-            "_param_lists": list_keys,
-        }
-        if substitutions is None:
-            instance_dict["_size_plan"] = size_info
-        parsed.__dict__ = instance_dict
+        parsed.trace_id = span.trace_id
+        parsed.span_id = span.span_id
+        parsed.parent_id = span.parent_id
+        parsed.node = span.node
+        parsed.start_time = span.start_time
+        parsed.pattern_id = pattern_id
+        parsed.params = params
+        parsed._param_lists = list_keys
+        parsed._size_plan = size_info if substitutions is None else None
         return parsed
 
     def _scope(self, span: Span, key: str) -> str:

@@ -105,7 +105,7 @@ def _node_from_list(item: list[Any]) -> TopoNode:
     return (item[0], tuple(_node_from_list(child) for child in item[1]))
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsedSubTrace:
     """A sub-trace reduced to its topo pattern plus per-span parameters."""
 
