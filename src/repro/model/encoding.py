@@ -106,8 +106,10 @@ def encoded_size(obj: Any) -> int:
 # Characters that stop a string being "length + 2 quotes": anything
 # json.dumps escapes (backslash, double quote, control chars) or
 # non-ASCII (escaped to \uXXXX under the default ensure_ascii=True).
-# Public so size-critical callers can inline the plain-string test.
-JSON_ESCAPE_RE = re.compile(r'[^ -~]|["\\]')
+# One negated class — printable ASCII minus '"' and '\\' — so the search
+# runs without alternation backtracking.  Public so size-critical
+# callers can inline the plain-string test.
+JSON_ESCAPE_RE = re.compile(r"[^ !#-\[\]-~]")
 _NEEDS_ESCAPE = JSON_ESCAPE_RE
 
 

@@ -6,31 +6,45 @@ Since different patterns can share several prefix tokens, their paths
 may overlap.  This reduces the storage overhead of patterns and improves
 matching efficiency during the online phase."*
 
-Nodes are keyed by template tokens (wildcard included); a template is a
-root-to-marked-node path.  Matching walks the tree against a tokenised
-value, letting wildcard edges consume any number of tokens, and returns
-the most specific matching template (most literal tokens).
+The tree is path-compressed (a radix tree): a node's ``edge`` is the
+run of template tokens (wildcard included) from its parent, so nodes sit
+only where templates branch or end — at most ``2 * len(tree) + 1``.  A
+template is a root-to-marked-node path.  Matching walks the tree against
+a tokenised value, letting wildcards consume any number of tokens, and
+returns the most specific matching template (most literal tokens).  The
+walk visits (node, edge index, position) states in the depth-first order
+of a one-node-per-token trie (``tests/reference_prefix_tree.py``), so
+ties go to the template that trie reaches first; it loops over literal
+runs, so no value is too long to match.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.parsing.string_patterns import WILDCARD, StringTemplate
 
 
-@dataclass
 class _Node:
-    children: dict[str, "_Node"] = field(default_factory=dict)
-    template: StringTemplate | None = None
+    __slots__ = ("edge", "children", "template")
+
+    def __init__(
+        self,
+        edge: tuple[str, ...],
+        children: dict[str, _Node] | None = None,
+        template: StringTemplate | None = None,
+    ) -> None:
+        self.edge = edge
+        # Keyed by each child's first edge token, in insertion order.
+        self.children = children
+        self.template = template
 
 
 class TemplatePrefixTree:
     """Stores string templates with shared-prefix compression."""
 
     def __init__(self) -> None:
-        self._root = _Node()
+        self._root = _Node(())
         self._count = 0
 
     def __len__(self) -> int:
@@ -41,9 +55,31 @@ class TemplatePrefixTree:
 
     def insert(self, template: StringTemplate) -> bool:
         """Add ``template``; returns False when it was already present."""
-        node = self._root
-        for token in template.tokens:
-            node = node.children.setdefault(token, _Node())
+        tokens = template.tokens
+        node, pos = self._root, 0
+        while pos < len(tokens):
+            child = node.children.get(tokens[pos]) if node.children else None
+            if child is None:
+                leaf = _Node(tokens[pos:], None, template)
+                if node.children is None:
+                    node.children = {}
+                node.children[tokens[pos]] = leaf
+                self._count += 1
+                return True
+            edge = child.edge
+            shared = 1
+            while shared < len(edge) and pos + shared < len(tokens):
+                if edge[shared] != tokens[pos + shared]:
+                    break
+                shared += 1
+            if shared < len(edge):
+                # Split at the first mismatch: ``child`` keeps its place
+                # in its parent's order, the old remainder becomes its
+                # first child.
+                tail = _Node(edge[shared:], child.children, child.template)
+                child.edge, child.children = edge[:shared], {edge[shared]: tail}
+                child.template = None
+            node, pos = child, pos + shared
         if node.template is not None:
             return False
         node.template = template
@@ -51,12 +87,13 @@ class TemplatePrefixTree:
         return True
 
     def __contains__(self, template: StringTemplate) -> bool:
-        node = self._root
-        for token in template.tokens:
-            child = node.children.get(token)
-            if child is None:
+        tokens = template.tokens
+        node, pos = self._root, 0
+        while pos < len(tokens):
+            child = node.children.get(tokens[pos]) if node.children else None
+            if child is None or tokens[pos : pos + len(child.edge)] != child.edge:
                 return False
-            node = child
+            node, pos = child, pos + len(child.edge)
         return node.template is not None
 
     def templates(self) -> list[StringTemplate]:
@@ -67,7 +104,8 @@ class TemplatePrefixTree:
             node = stack.pop()
             if node.template is not None:
                 out.append(node.template)
-            stack.extend(node.children[k] for k in sorted(node.children, reverse=True))
+            if node.children:
+                stack.extend(node.children[k] for k in sorted(node.children, reverse=True))
         return out
 
     def find_match(self, value: str, tokens: list[str]) -> StringTemplate | None:
@@ -77,52 +115,62 @@ class TemplatePrefixTree:
         prune the tree, then confirms candidates against the raw string
         (wildcard semantics are defined by the template's regex).
         """
-        candidates: list[StringTemplate] = []
-        self._walk(self._root, tokens, 0, candidates, set())
         best: StringTemplate | None = None
-        for template in candidates:
+        for template in self._candidates(tokens):
             if not template.matches(value):
                 continue
             if best is None or template.literal_token_count > best.literal_token_count:
                 best = template
         return best
 
-    def _walk(
-        self,
-        node: _Node,
-        tokens: list[str],
-        pos: int,
-        out: list[StringTemplate],
-        visited: set[tuple[int, int]],
-    ) -> None:
-        # Wildcard edges make (node, pos) states reachable along many
-        # paths; memoising them keeps the walk linear in practice.
-        state = (id(node), pos)
-        if state in visited:
-            return
-        visited.add(state)
-        if node.template is not None and pos == len(tokens):
-            out.append(node.template)
-        # A wildcard template may also terminate with trailing input;
-        # delegate final say to regex confirmation by collecting any
-        # terminal node whose remaining requirement is only wildcards.
-        if node.template is not None and pos < len(tokens):
-            if node.template.tokens and node.template.tokens[-1] == WILDCARD:
-                out.append(node.template)
-        for token, child in node.children.items():
-            if token == WILDCARD:
-                # Wildcard edge: consume zero or more tokens.
-                for nxt in range(pos, len(tokens) + 1):
-                    self._walk(child, tokens, nxt, out, visited)
-            elif pos < len(tokens) and tokens[pos] == token:
-                self._walk(child, tokens, pos + 1, out, visited)
+    def _candidates(self, tokens: list[str]) -> list[StringTemplate]:
+        """Templates the token walk reaches, in walk order (repeats kept)."""
+        end = len(tokens)
+        out: list[StringTemplate] = []
+        # Wildcards make states reachable along many paths; memoising
+        # them keeps the walk linear in practice.
+        visited: set[tuple[_Node, int, int]] = set()
+        stack: list[tuple[_Node, int, int]] = [(self._root, 0, 0)]
+        while stack:
+            state = stack.pop()
+            if state in visited:
+                continue
+            visited.add(state)
+            node, i, pos = state
+            edge = node.edge
+            while i < len(edge):
+                token = edge[i]
+                if token == WILDCARD:
+                    # Consume zero or more tokens; shortest first.
+                    stack.extend((node, i + 1, nxt) for nxt in range(end, pos - 1, -1))
+                    break
+                if pos == end or tokens[pos] != token:
+                    break
+                i, pos = i + 1, pos + 1
+            else:
+                # A template ending in a wildcard may also terminate with
+                # trailing input; the regex confirmation has the final say.
+                if node.template is not None and (pos == end or (edge and edge[-1] == WILDCARD)):
+                    out.append(node.template)
+                children = node.children
+                if children:
+                    entries: list[tuple[_Node, int, int]] = []
+                    for key, child in children.items():
+                        if key == WILDCARD:
+                            entries.extend((child, 1, nxt) for nxt in range(pos, end + 1))
+                        elif pos < end and tokens[pos] == key:
+                            entries.append((child, 1, pos + 1))
+                    stack.extend(reversed(entries))
+        return out
 
     def node_count(self) -> int:
-        """Number of nodes — the prefix-sharing storage footprint."""
-        count = 0
+        """Root plus every stored token position — the storage footprint
+        of the equivalent one-node-per-token trie."""
+        count = 1
         stack = [self._root]
         while stack:
             node = stack.pop()
-            count += 1
-            stack.extend(node.children.values())
+            count += len(node.edge)
+            if node.children:
+                stack.extend(node.children.values())
         return count

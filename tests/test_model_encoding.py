@@ -1,8 +1,19 @@
 """Unit tests for wire encoding and the byte ruler."""
 
+import json
+import re
+
 import pytest
 
-from repro.model.encoding import decode_span, decode_trace, encode_span, encode_trace, encoded_size
+from repro.model.encoding import (
+    JSON_ESCAPE_RE,
+    decode_span,
+    decode_trace,
+    encode_span,
+    encode_trace,
+    encoded_size,
+    json_string_size,
+)
 from repro.model.span import SpanKind, SpanStatus
 from tests.conftest import make_chain_trace, make_span
 
@@ -59,3 +70,18 @@ class TestEncodedSize:
         small = make_span(attributes={"a": "1"})
         big = make_span(attributes={"a": "1", "b": "2" * 100})
         assert encoded_size(big) > encoded_size(small) + 100
+
+
+class TestJsonEscapeClass:
+    """The single negated class is the old alternation, code point for code point."""
+
+    def test_agrees_with_the_alternation_on_every_code_point(self):
+        alternation = re.compile(r'[^ -~]|["\\]')
+        text = "".join(map(chr, range(0x110000)))
+        assert JSON_ESCAPE_RE.findall(text) == alternation.findall(text)
+
+    def test_flags_exactly_what_json_dumps_changes(self):
+        for ch in map(chr, range(0x250)):
+            plain = len(json.dumps(ch)) == 3
+            assert (JSON_ESCAPE_RE.search(ch) is None) == plain, repr(ch)
+            assert json_string_size(ch) == len(json.dumps(ch))
