@@ -194,7 +194,7 @@ def seed_symptom_observe(self, sub_trace, parsed) -> bool:
             if isinstance(param, list):
                 if seed_has_abnormal_word(self, param):
                     sampled = True
-            elif key in self.numeric_keys and seed_is_numeric_outlier(
+            elif key == span_mod.DURATION_KEY and seed_is_numeric_outlier(
                 self, f"{span.pattern_id}:{key}", float(param)
             ):
                 sampled = True

@@ -19,7 +19,7 @@ from repro.agent.samplers import EdgeCaseSampler, Sampler, SymptomSampler
 from repro.model.span import Span
 from repro.model.trace import SubTrace
 from repro.parsing.span_parser import SpanParser, SpanPattern
-from repro.parsing.trace_parser import ParsedSubTrace, TraceParser, extract_topo_pattern
+from repro.parsing.trace_parser import ParsedSubTrace, TopoPatternLibrary, extract_topo_pattern
 
 
 @dataclass(slots=True)
@@ -50,32 +50,37 @@ class MintAgent:
     ) -> None:
         self.node = node
         self.config = config or MintConfig()
-        self.span_parser = SpanParser(
-            similarity_threshold=self.config.similarity_threshold,
-            alpha=self.config.alpha,
-        )
-        self.trace_parser = TraceParser(self.span_parser)
-        # The mounted library wraps the trace parser's library so the
-        # edge-case sampler sees the same match counts.
-        self.mounted_library = MountedTopoLibrary(
-            node=node,
-            bloom_buffer_bytes=self.config.bloom_buffer_bytes,
-            bloom_fpp=self.config.bloom_fpp,
-            on_flush=on_bloom_flush,
-            library=self.trace_parser.library,
-        )
         self.params_buffer = ParamsBuffer(self.config.params_buffer_bytes)
         self.symptom_sampler = SymptomSampler(
             abnormal_words=self.config.abnormal_words,
             percentile=self.config.symptom_percentile,
             window=self.config.symptom_window,
         )
-        self.edge_case_sampler = EdgeCaseSampler(
-            library=self.trace_parser.library,
-            base_rate=self.config.edge_case_base_rate,
-            seed=self.config.sampler_seed,
-        )
         self.extra_samplers = list(extra_samplers or [])
+        self._build_parsers(on_bloom_flush)
+
+    def _build_parsers(self, on_bloom_flush: Callable[[FlushedBloom], None] | None) -> None:
+        """Fresh span parser and topo library.  The mounted library and
+        the edge-case sampler share the one library: mounting a
+        sub-trace counts its match, and the sampler reads those counts."""
+        config = self.config
+        self.span_parser = SpanParser(
+            similarity_threshold=config.similarity_threshold,
+            alpha=config.alpha,
+        )
+        self.topo_library = TopoPatternLibrary()
+        self.mounted_library = MountedTopoLibrary(
+            node=self.node,
+            bloom_buffer_bytes=config.bloom_buffer_bytes,
+            bloom_fpp=config.bloom_fpp,
+            on_flush=on_bloom_flush,
+            library=self.topo_library,
+        )
+        self.edge_case_sampler = EdgeCaseSampler(
+            library=self.topo_library,
+            base_rate=config.edge_case_base_rate,
+            seed=config.sampler_seed,
+        )
         self._warmed_up = False
 
     @property
@@ -127,6 +132,8 @@ class MintAgent:
             parsed_spans = {spans[0].span_id: only}
             ordered = [only]
         else:
+            if not spans:
+                raise ValueError("cannot parse an empty sub-trace")
             parsed_spans = {
                 span.span_id: parse(span, observe_ranges=False) for span in spans
             }
@@ -164,19 +171,13 @@ class MintAgent:
             library = self.span_parser.library
             observe = library.observe_numeric
             for span in parsed.parsed_spans:
+                # The layout's variable spec names exactly the numeric
+                # parameters.
                 span_params = span.params
-                size_plan = span._size_plan
-                if size_plan is not None:
-                    # Replayed span: the plan's variable spec already
-                    # names exactly the numeric parameters.
-                    span_pattern_id = span.pattern_id
-                    for key, is_list in size_plan[1]:
-                        if not is_list:
-                            observe(span_pattern_id, key, span_params[key])
-                else:
-                    for key, param in span_params.items():
-                        if not isinstance(param, list):
-                            observe(span.pattern_id, key, float(param))
+                span_pattern_id = span.pattern_id
+                for key, is_list in span._size_plan[1]:
+                    if not is_list:
+                        observe(span_pattern_id, key, span_params[key])
         result = IngestResult.__new__(IngestResult)
         result.trace_id = sub_trace.trace_id
         result.node = self.node
@@ -196,29 +197,8 @@ class MintAgent:
         drained first so already-mounted metadata is not lost.
         """
         self.mounted_library.drain_and_notify()
-        self.span_parser = SpanParser(
-            similarity_threshold=self.config.similarity_threshold,
-            alpha=self.config.alpha,
-        )
-        self.trace_parser = TraceParser(self.span_parser)
-        self.mounted_library = MountedTopoLibrary(
-            node=self.node,
-            bloom_buffer_bytes=self.config.bloom_buffer_bytes,
-            bloom_fpp=self.config.bloom_fpp,
-            on_flush=self.mounted_library.flush_callback,
-            library=self.trace_parser.library,
-        )
-        self.edge_case_sampler = EdgeCaseSampler(
-            library=self.trace_parser.library,
-            base_rate=self.config.edge_case_base_rate,
-            seed=self.config.sampler_seed,
-        )
-        self._warmed_up = False
+        self._build_parsers(self.mounted_library.flush_callback)
 
     def span_patterns(self) -> list[SpanPattern]:
         """All span patterns known to this agent."""
         return self.span_parser.library.patterns()
-
-    def topo_library(self):
-        """The topo pattern library (shared with the edge-case sampler)."""
-        return self.trace_parser.library

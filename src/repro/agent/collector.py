@@ -53,7 +53,6 @@ class MintCollector:
         self._reported_span_pattern_ids: set[str] = set()
         self._reported_topo_pattern_ids: set[str] = set()
         self._sampled_trace_ids: set[str] = set()
-        self._uploaded_blocks: set[tuple[str, int]] = set()
         self._last_pattern_report: float | None = None
         # Bloom filters flush straight through the agent callback.
         agent.mounted_library.flush_callback = self._send_bloom
@@ -121,7 +120,7 @@ class MintCollector:
         ]
         topo_patterns = [
             p.to_dict()
-            for p in self.agent.trace_parser.library.patterns()
+            for p in self.agent.topo_library.patterns()
             if p.pattern_id not in self._reported_topo_pattern_ids
         ]
         self._last_pattern_report = now
@@ -148,14 +147,11 @@ class MintCollector:
         block = self.agent.params_buffer.get(trace_id)
         if block is None:
             return
-        key = (trace_id, len(block.spans))
-        if key in self._uploaded_blocks:
-            return
         library = self.agent.span_parser.library
         records = [
             span.compact_record(library.get(span.pattern_id)) for span in block.spans
         ]
         self._send(ParamsReport(node=self.node, trace_id=trace_id, records=records))
-        self._uploaded_blocks.add(key)
-        # The block has been persisted; free the buffer space.
+        # The block has been persisted; free the buffer space (spans
+        # buffered later for this trace form a new block of their own).
         self.agent.params_buffer.pop(trace_id)

@@ -4,7 +4,7 @@ Paper Section 4.2 defines two samplers purpose-built for the
 'commonality + variability' paradigm:
 
 * :class:`SymptomSampler` — watches the Params Buffer for anomalies:
-  numeric parameters beyond the P95 of their attribute, or string
+  span durations beyond the P95 of their span pattern, or string
   parameters containing user-defined abnormal words;
 * :class:`EdgeCaseSampler` — watches the Topo Pattern Library and
   boosts the sampling probability of rare execution paths.
@@ -37,9 +37,10 @@ class Sampler(Protocol):
 class SymptomSampler:
     """Marks traces with anomalous parameter values as sampled.
 
-    For numeric parameters the sampler keeps a sliding window per
-    attribute key and flags values above the configured percentile
-    (default P95).  For string parameters it flags values containing any
+    For span durations (the paper's example of "unusually large
+    duration values") the sampler keeps a sliding window per span
+    pattern and flags values above the configured percentile (default
+    P95).  For string parameters it flags values containing any
     abnormal word (case-insensitive substring match), with the word list
     being user-defined per the paper.
     """
@@ -50,20 +51,11 @@ class SymptomSampler:
         percentile: float = 95.0,
         window: int = 512,
         min_observations: int = 20,
-        numeric_keys: tuple[str, ...] | None = None,
     ) -> None:
-        """``numeric_keys`` restricts the outlier check to specific
-        parameter keys (default: span durations only — the paper's
-        example of "unusually large duration values"); pass ``None``
-        explicitly wrapped in a tuple-free call site to widen it."""
         if not 0.0 < percentile < 100.0:
             raise ValueError("percentile must be in (0, 100)")
         self.percentile = percentile
         self.min_observations = min_observations
-        self.numeric_keys = (
-            numeric_keys if numeric_keys is not None else (DURATION_KEY,)
-        )
-        self._words = tuple(w.lower() for w in abnormal_words)
         self._word_patterns = [
             re.compile(rf"(?<![0-9a-z]){re.escape(w.lower())}(?![0-9a-z])")
             for w in abnormal_words
@@ -93,36 +85,22 @@ class SymptomSampler:
     def observe(self, sub_trace: SubTrace, parsed: ParsedSubTrace) -> bool:
         sampled = False
         check_words = self._word_regex is not None
-        numeric_keys = self.numeric_keys
-        duration_only = numeric_keys == (DURATION_KEY,)
         for span in parsed.parsed_spans:
             params = span.params
-            # Replayed spans carry the exact set of list-valued params;
-            # the scan then touches only the params that can matter.
-            list_keys = span._param_lists if duration_only else None
-            if list_keys is not None:
-                if check_words:
-                    for key in list_keys:
-                        parts = params[key]
-                        if parts and self._has_abnormal_word(parts):
-                            sampled = True
-                if self._is_numeric_outlier(
-                    (span.pattern_id, DURATION_KEY), params[DURATION_KEY]
-                ):
-                    sampled = True
-                continue
-            for key, param in params.items():
-                if param.__class__ is list:
-                    if check_words and param and self._has_abnormal_word(param):
+            # The parser's layout names the list-valued params; the
+            # word scan touches only those.
+            if check_words:
+                for key in span._param_lists:
+                    parts = params[key]
+                    if parts and self._has_abnormal_word(parts):
                         sampled = True
-                elif key in numeric_keys and self._is_numeric_outlier(
-                    # Windows are kept per (pattern, key): "unusually
-                    # large" only makes sense against spans doing the
-                    # same unit of work, not a mixed population.
-                    (span.pattern_id, key),
-                    float(param),
-                ):
-                    sampled = True
+            # Windows are kept per span pattern: "unusually large" only
+            # makes sense against spans doing the same unit of work,
+            # not a mixed population.
+            if self._is_numeric_outlier(
+                (span.pattern_id, DURATION_KEY), params[DURATION_KEY]
+            ):
+                sampled = True
         return sampled
 
     def _has_abnormal_word(self, parts: list[str]) -> bool:

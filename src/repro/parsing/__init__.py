@@ -10,9 +10,10 @@ Two levels of parsing (paper Section 3):
 
 A module-level memo holds only immutable values derived from pattern
 content, never per-span data, so it outlives no framework's spans: the
-record skeleton size per parameter key set (``span_parser``), the topo
-pattern per canonical sub-trace shape (``trace_parser``) and the
-template per pattern text (``string_patterns.template_from_text``).
+topo pattern per canonical sub-trace shape (``trace_parser``) and the
+template per pattern text (``string_patterns.template_from_text``).  The
+record skeleton size per parameter key set lives on the
+:class:`SpanParser` instance, with the replay plans it feeds.
 """
 
 from repro.parsing.attribute_parser import (
@@ -28,7 +29,7 @@ from repro.parsing.prefix_tree import TemplatePrefixTree
 from repro.parsing.span_parser import ParsedSpan, SpanParser, SpanPattern, SpanPatternLibrary
 from repro.parsing.string_patterns import StringTemplate, extract_template
 from repro.parsing.tokenizer import detokenize, tokenize
-from repro.parsing.trace_parser import ParsedSubTrace, TopoPattern, TopoPatternLibrary, TraceParser
+from repro.parsing.trace_parser import ParsedSubTrace, TopoPattern, TopoPatternLibrary
 
 __all__ = [
     "tokenize",
@@ -49,7 +50,6 @@ __all__ = [
     "SpanPattern",
     "SpanPatternLibrary",
     "ParsedSpan",
-    "TraceParser",
     "TopoPattern",
     "TopoPatternLibrary",
     "ParsedSubTrace",

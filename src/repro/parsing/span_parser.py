@@ -40,12 +40,6 @@ DURATION_KEY = "__duration__"
 
 NUMERIC_MARKER = "<num>"
 
-# Placeholders marking plan slots whose content is read from the live
-# span on replay: numeric values, and volatile (high-cardinality) string
-# attributes that are re-parsed each time.
-_NUMERIC_SLOT = object()
-_VOLATILE_SLOT = object()
-
 
 def _plan_key(span: "Span", attributes: dict, vol_set: set) -> tuple:
     """Structural identity of a span for the replay-plan table.
@@ -187,9 +181,10 @@ class ParsedSpan:
 
     Slotted: the Params Buffer holds one per buffered span, and an
     instance dict would be one more container per span for the cyclic
-    collector to traverse.  The two private slots are set only on
-    replayed spans (see :meth:`SpanParser._parse_from_plan`) and are
-    neither compared nor shown.
+    collector to traverse.  The two private slots hold the span's record
+    layout; :class:`SpanParser` sets them on every span it returns
+    (replayed or fully parsed), a hand-built span leaves them ``None``.
+    They are neither compared nor shown.
     """
 
     trace_id: str
@@ -199,10 +194,11 @@ class ParsedSpan:
     start_time: float
     pattern_id: str
     params: dict[str, ParamValue] = field(default_factory=dict)
-    # The plan's pre-sized record layout: (fixed bytes, variable spec).
+    # Pre-sized record layout: (fixed bytes, ((key, is_list), ...) for
+    # the per-span values the fixed part leaves out).
     _size_plan: Any = field(default=None, init=False, repr=False, compare=False)
-    # Which params are wildcard-fill lists — lets downstream scans
-    # (symptom sampler) skip the per-param type dispatch.
+    # Keys of the wildcard-fill list params, in params order — lets
+    # downstream scans (symptom sampler) skip the per-param dispatch.
     _param_lists: Any = field(default=None, init=False, repr=False, compare=False)
 
     def params_record(self) -> dict[str, Any]:
@@ -254,60 +250,33 @@ class ParsedSpan:
             params=params,
         )
 
-    @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "ParsedSpan":
-        """Rebuild a parsed span from a :meth:`params_record` dict."""
-        return cls(
-            trace_id=record["trace_id"],
-            span_id=record["span_id"],
-            parent_id=record.get("parent_id"),
-            node=record.get("node", "node-0"),
-            start_time=record.get("start_time", 0.0),
-            pattern_id=record["pattern_id"],
-            params=dict(record.get("params", {})),
-        )
-
     def params_size_bytes(self) -> int:
         """Bytes this span contributes to the Params Buffer.
 
         Byte-identical to ``encoded_size(self.params_record())`` (the
-        invariant the fast-path tests enforce), but computed as a cached
-        per-key-set base size plus per-value deltas instead of rendering
-        the record as JSON for every span.
+        invariant the fast-path tests enforce), but computed from the
+        parser's record layout — the stable part (record skeleton,
+        pattern id, stable parameter lists) was sized once at parse
+        time — plus per-span deltas, instead of rendering the record as
+        JSON for every span.  A hand-built span has no layout and is
+        sized by the ruler itself.
         """
+        layout = self._size_plan
+        if layout is None:
+            return encoded_size(self.params_record())
         params = self.params
         search = JSON_ESCAPE_RE.search
         dumps = _json.dumps
         isfinite = _math.isfinite
-        size_plan = self._size_plan
-        if size_plan is not None:
-            # Replayed span: the stable portion (record skeleton, stable
-            # parameter lists, pattern id) was sized once when the plan
-            # was learned; only the per-span variables remain.
-            fixed, var_spec = size_plan
-            size = fixed
-            for key, is_list in var_spec:
-                value = params[key]
-                if is_list:
-                    size += _param_list_size(value)
-                elif value.__class__ is float and isfinite(value):
-                    size += len(repr(value))
-                else:
-                    size += json_value_size(value)
-        else:
-            size = _record_base_size(tuple(params))
-            size += json_string_size(self.pattern_id)
-            for value in params.values():
-                cls = value.__class__
-                if cls is float:
-                    if isfinite(value):
-                        size += len(repr(value))
-                    else:
-                        size += len(dumps(value))
-                elif cls is list:
-                    size += _param_list_size(value)
-                else:
-                    size += json_value_size(value)
+        size, var_spec = layout
+        for key, is_list in var_spec:
+            value = params[key]
+            if is_list:
+                size += _param_list_size(value)
+            elif value.__class__ is float and isfinite(value):
+                size += len(repr(value))
+            else:
+                size += json_value_size(value)
         parent_id = self.parent_id
         if parent_id is None:
             size += 4
@@ -327,13 +296,6 @@ class ParsedSpan:
         return size
 
 
-# Base encoded size of a params record per distinct param key set: the
-# braces, key strings and punctuation that every record with those keys
-# shares.  Derived once from the real JSON ruler (a probe record with
-# zero-size variable slots) so the fast sizer cannot drift from it.
-_RECORD_BASE_CACHE: dict[tuple[str, ...], int] = {}
-
-
 def _param_list_size(value: list) -> int:
     """Exact JSON size of one parameter-fill list."""
     if not value:
@@ -351,25 +313,6 @@ def _param_list_size(value: list) -> int:
         else:
             size += json_value_size(item)
     return size
-
-
-def _record_base_size(keys: tuple[str, ...]) -> int:
-    base = _RECORD_BASE_CACHE.get(keys)
-    if base is None:
-        probe = {
-            "trace_id": "",
-            "span_id": "",
-            "parent_id": None,
-            "node": "",
-            "pattern_id": "",
-            "start_time": 0.0,
-            "params": dict.fromkeys(keys),
-        }
-        # Placeholder payloads: four ``""`` (2 bytes), one ``null`` (4),
-        # ``0.0`` (3), the empty pattern_id (2), and ``null`` per param.
-        base = encoded_size(probe) - (2 + 2 + 4 + 2 + 2 + 3 + 4 * len(keys))
-        _RECORD_BASE_CACHE[keys] = base
-    return base
 
 
 class SpanPatternLibrary:
@@ -554,6 +497,9 @@ class SpanParser:
         # Only registered when every constituent lookup is guaranteed
         # stable, so a plan hit is byte-identical to a full parse.
         self._span_plans: dict[tuple, tuple] = {}
+        # Param key set -> encoded size of the params-record skeleton
+        # (see :meth:`_record_base_size`).
+        self._record_base: dict[tuple[str, ...], int] = {}
 
     # ------------------------------------------------------------------
     # Offline stage (paper Section 3.2.1)
@@ -627,15 +573,19 @@ class SpanParser:
 
         Volatility is (re)classified here from the live parser memos —
         ``vol_set`` is updated in place, so the plan is stored under the
-        key every future lookup will build.
+        key every future lookup will build.  The span's record layout is
+        computed for every span and shared with the plan it stores.
         """
         attributes = span.attributes
         entries: list[tuple[str, str, str]] = []
         params: dict[str, ParamValue] = {}
-        numeric_values: dict[str, float] = {}
-        plan_slots: list[tuple] = []
+        vol_slots: list[tuple] = []
         plan_bumps: list[tuple] = []
         list_keys: list[str] = []
+        # Params sized per span: numerics and volatile lists.  Stable
+        # lists are sized once, into the layout's fixed part.
+        var_spec: list[tuple[str, bool]] = []
+        stable_size = 0
         plan_ok = True
         for key, value in sorted(attributes.items()):
             if key.startswith("__"):
@@ -649,32 +599,29 @@ class SpanParser:
                 list_keys.append(key)
                 if key in vol_set or len(parser._value_cache) > self._VOLATILE_DISTINCT:
                     vol_set.add(key)
-                    plan_slots.append(
-                        (key, _VOLATILE_SLOT, parser, parsed.pattern, len(entries) - 1)
+                    var_spec.append((key, True))
+                    vol_slots.append((key, parser, parsed.pattern, len(entries) - 1))
+                    continue
+                stable_size += _param_list_size(parsed.param)
+                if parser._value_cache.get(text) is parsed:
+                    template = parser._value_templates[text]
+                    # Flattened bump slot: the count cell and ranked
+                    # list are mutated in place and never rebound, so
+                    # a replayed span bumps without hashing.
+                    plan_bumps.append(
+                        (parser._hit_counts[template], parser._hot_ranked, template, parser)
                     )
                 else:
-                    cached = parser._value_cache.get(text)
-                    if cached is parsed:
-                        template = parser._value_templates[text]
-                        plan_slots.append((key, template, parsed.param))
-                        # Flattened bump slot: the count cell and ranked
-                        # list are mutated in place and never rebound,
-                        # so a replayed span bumps without hashing.
-                        plan_bumps.append(
-                            (parser._hit_counts[template], parser._hot_ranked, template, parser)
-                        )
-                    else:
-                        # Value fell outside the parser's memo (cache at
-                        # capacity): this shape cannot be replayed safely.
-                        plan_ok = False
+                    # Value fell outside the parser's memo (cache at
+                    # capacity): this shape cannot be replayed safely.
+                    plan_ok = False
             else:
                 entries.append((key, "numeric", NUMERIC_MARKER))
                 params[key] = float(value)
-                numeric_values[key] = float(value)
-                plan_slots.append((key, _NUMERIC_SLOT))
+                var_spec.append((key, False))
         entries.append((DURATION_KEY, "numeric", NUMERIC_MARKER))
         params[DURATION_KEY] = span.duration
-        numeric_values[DURATION_KEY] = span.duration
+        var_spec.append((DURATION_KEY, False))
         pattern_id = self.library.intern(
             span.name,
             span.service,
@@ -682,45 +629,37 @@ class SpanParser:
             span.status.value,
             tuple(sorted(entries)),
         )
+        # Every pattern id is 16 hex characters, so the fixed part stays
+        # valid when a replay re-interns the shape under a new id.
+        layout = (
+            self._record_base_size(tuple(params)) + json_string_size(pattern_id) + stable_size,
+            tuple(var_spec),
+        )
+        param_lists = tuple(list_keys)
         if plan_ok and len(self._span_plans) < self._SPAN_PLAN_CAP:
+            params_template = dict(params)
+            for key, _ in var_spec:
+                params_template[key] = None
             # Storage key built from the (possibly just-updated)
             # classification — exactly what the next lookup for this
             # shape will compute.
-            plan_key = _plan_key(span, attributes, vol_set)
-            # Pre-size the constant part of the params record: skeleton,
-            # pattern id, and every stable parameter list.
-            size_fixed = _record_base_size(tuple(params)) + json_string_size(pattern_id)
-            var_spec: list[tuple[str, bool]] = []
-            vol_slots: list[tuple] = []
-            params_template = dict(params)
-            for slot in plan_slots:
-                marker = slot[1]
-                if marker is _NUMERIC_SLOT:
-                    var_spec.append((slot[0], False))
-                    params_template[slot[0]] = None
-                elif marker is _VOLATILE_SLOT:
-                    var_spec.append((slot[0], True))
-                    params_template[slot[0]] = None
-                    vol_slots.append((slot[0], slot[2], slot[3], slot[4]))
-                else:
-                    size_fixed += _param_list_size(slot[2])
-            var_spec.append((DURATION_KEY, False))
-            params_template[DURATION_KEY] = None
-            self._span_plans[plan_key] = (
+            self._span_plans[_plan_key(span, attributes, vol_set)] = (
                 pattern_id,
                 tuple(vol_slots),
-                tuple(k for k in numeric_values if k != DURATION_KEY),
+                tuple(key for key, is_list in var_spec[:-1] if not is_list),
                 tuple(plan_bumps),
                 tuple(entries),
                 (span.name, span.service, span.kind.value, span.status.value),
-                (size_fixed, tuple(var_spec)),
+                layout,
                 params_template,
-                tuple(list_keys),
+                param_lists,
             )
         if observe_ranges:
-            for key, value in numeric_values.items():
-                self.library.observe_numeric(pattern_id, key, value)
-        return ParsedSpan(
+            observe = self.library.observe_numeric
+            for key, is_list in var_spec:
+                if not is_list:
+                    observe(pattern_id, key, params[key])
+        parsed_span = ParsedSpan(
             trace_id=span.trace_id,
             span_id=span.span_id,
             parent_id=span.parent_id,
@@ -729,6 +668,33 @@ class SpanParser:
             pattern_id=pattern_id,
             params=params,
         )
+        parsed_span._size_plan = layout
+        parsed_span._param_lists = param_lists
+        return parsed_span
+
+    def _record_base_size(self, keys: tuple[str, ...]) -> int:
+        """Encoded size of a params record with these param keys, less
+        its values: the braces, key strings and punctuation every such
+        record shares.  Derived once per key set from the JSON ruler (a
+        probe record with zero-size variable slots) so the layout cannot
+        drift from it."""
+        base = self._record_base.get(keys)
+        if base is None:
+            probe = {
+                "trace_id": "",
+                "span_id": "",
+                "parent_id": None,
+                "node": "",
+                "pattern_id": "",
+                "start_time": 0.0,
+                "params": dict.fromkeys(keys),
+            }
+            # Placeholder payloads: four ``""`` (2 bytes), one ``null``
+            # (4), ``0.0`` (3), the empty pattern_id (2), and ``null``
+            # per param.
+            base = encoded_size(probe) - (2 + 2 + 4 + 2 + 2 + 3 + 4 * len(keys))
+            self._record_base[keys] = base
+        return base
 
     def _parse_from_plan(
         self,
@@ -755,11 +721,11 @@ class SpanParser:
         (
             pattern_id,
             vol_slots,
-            numeric_keys,
+            numeric_attrs,
             bumps,
             entries_proto,
             header,
-            size_info,
+            layout,
             params_template,
             list_keys,
         ) = plan
@@ -777,7 +743,7 @@ class SpanParser:
                 if substitutions is None:
                     substitutions = []
                 substitutions.append((entry_index, (key, "string", parsed_attr.pattern)))
-        for key in numeric_keys:
+        for key in numeric_attrs:
             value = attributes[key]
             params[key] = value if value.__class__ is float else float(value)
         duration = span.duration
@@ -796,13 +762,13 @@ class SpanParser:
             pattern_id = self.library.intern(*header, tuple(sorted(entries)))
         if observe_ranges:
             observe = self.library.observe_numeric
-            for key in numeric_keys:
+            for key in numeric_attrs:
                 observe(pattern_id, key, float(attributes[key]))
             observe(pattern_id, DURATION_KEY, duration)
         # Direct construction: the dataclass __init__ is a measurable
-        # per-span cost, slot stores are not.  The size plan is left
-        # unset for the rare re-interned shape, whose pattern id no
-        # longer matches the plan's pre-sized layout.
+        # per-span cost, slot stores are not.  A re-interned shape keeps
+        # the layout: only volatile values moved, and its new pattern id
+        # is 16 hex characters like the old one.
         parsed = ParsedSpan.__new__(ParsedSpan)
         parsed.trace_id = span.trace_id
         parsed.span_id = span.span_id
@@ -812,7 +778,7 @@ class SpanParser:
         parsed.pattern_id = pattern_id
         parsed.params = params
         parsed._param_lists = list_keys
-        parsed._size_plan = size_info if substitutions is None else None
+        parsed._size_plan = layout
         return parsed
 
     def _scope(self, span: Span, key: str) -> str:

@@ -4,7 +4,8 @@ Paper Section 3.3: spans sharing a trace id on one node form a
 *sub-trace*; its topology — the order and hierarchy of span patterns —
 is encoded as a topo pattern and matched (exactly) against the Topo
 Pattern Library.  Trace metadata is then mounted onto the matched
-pattern via a Bloom filter (that part lives in :mod:`repro.agent`).
+pattern via a Bloom filter.  The agent drives both steps per sub-trace
+(:meth:`repro.agent.agent.MintAgent.ingest`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any
 from repro.model.encoding import encoded_size
 from repro.model.span import SpanKind
 from repro.model.trace import SubTrace
-from repro.parsing.span_parser import ParsedSpan, SpanParser
+from repro.parsing.span_parser import ParsedSpan
 
 # A topo-pattern tree node: (span_pattern_id, (child_node, ...)).
 TopoNode = tuple[str, tuple["TopoNode", ...]]
@@ -114,10 +115,6 @@ class ParsedSubTrace:
     topo_pattern_id: str
     parsed_spans: list[ParsedSpan] = field(default_factory=list)
 
-    def params_size_bytes(self) -> int:
-        """Bytes the sub-trace's parameters occupy in the Params Buffer."""
-        return sum(p.params_size_bytes() for p in self.parsed_spans)
-
 
 class TopoPatternLibrary:
     """The agent-side Pattern Library for topology patterns."""
@@ -176,31 +173,6 @@ class TopoPatternLibrary:
     def size_bytes(self) -> int:
         """Upload size of the whole library."""
         return encoded_size([p.to_dict() for p in self._patterns.values()])
-
-
-class TraceParser:
-    """Groups parsed spans into sub-traces and extracts topo patterns."""
-
-    def __init__(self, span_parser: SpanParser) -> None:
-        self.span_parser = span_parser
-        self.library = TopoPatternLibrary()
-
-    def parse_sub_trace(self, sub_trace: SubTrace) -> ParsedSubTrace:
-        """Parse every span, then encode and register the topology."""
-        if not sub_trace.spans:
-            raise ValueError("cannot parse an empty sub-trace")
-        parsed = {span.span_id: self.span_parser.parse(span) for span in sub_trace}
-        pattern = extract_topo_pattern(sub_trace, parsed)
-        pattern_id = self.library.register(pattern)
-        ordered = sorted(
-            parsed.values(), key=lambda p: (p.start_time, p.span_id)
-        )
-        return ParsedSubTrace(
-            trace_id=sub_trace.trace_id,
-            node=sub_trace.node,
-            topo_pattern_id=pattern_id,
-            parsed_spans=ordered,
-        )
 
 
 def _span_order(span) -> tuple[float, str]:

@@ -91,7 +91,7 @@ def tracing_memory_bytes(framework: TracingFramework) -> int:
     for collector in framework._collectors.values():
         agent = collector.agent
         total += agent.span_parser.library.size_bytes()
-        total += agent.trace_parser.library.size_bytes()
+        total += agent.topo_library.size_bytes()
         total += agent.params_buffer.used_bytes
         for filt in agent.mounted_library.active_filters().values():
             total += filt.size_bytes

@@ -53,7 +53,7 @@ class TestMintAgent:
     def test_ingest_populates_libraries_and_buffer(self):
         agent = MintAgent(node="node-0")
         result = agent.ingest(local_subtrace("1" * 32))
-        assert result.topo_pattern_id in agent.trace_parser.library
+        assert result.topo_pattern_id in agent.topo_library
         assert "1" * 32 in agent.params_buffer
         assert len(agent.span_parser.library) >= 1
 
@@ -128,6 +128,39 @@ class TestMintCollector:
         assert params[0].trace_id == "1" * 32
         # Uploaded block is freed from the buffer.
         assert "1" * 32 not in agent.params_buffer
+
+    def test_late_sub_trace_of_sampled_trace_uploads(self):
+        """A later sub-trace of an already-sampled trace is uploaded as
+        well, even when its block holds as many spans as the first."""
+        transport = CollectingTransport()
+        agent = MintAgent(node="node-0")
+        collector = MintCollector(agent, transport)
+        trace_id = "1" * 32
+        first = SubTrace(
+            trace_id=trace_id,
+            node="node-0",
+            spans=[make_span(trace_id=trace_id, span_id="1" * 16)],
+        )
+        # A brand-new execution path: the edge-case sampler keeps it.
+        assert collector.process(first, now=0.0).sampled
+        late = SubTrace(
+            trace_id=trace_id,
+            node="node-0",
+            spans=[
+                make_span(
+                    trace_id=trace_id, span_id="2" * 16, parent_id="1" * 16, start_time=1.0
+                )
+            ],
+        )
+        collector.process(late, now=1.0)
+        collector.flush(now=10.0)
+        uploaded = [
+            record[0]
+            for report in transport.of_type(ParamsReport)
+            for record in report.records
+        ]
+        assert uploaded == ["1" * 16, "2" * 16]
+        assert trace_id not in agent.params_buffer
 
     def test_mark_sampled_pulls_buffered_params(self):
         transport = CollectingTransport()

@@ -22,7 +22,7 @@ class TestReconstructInterface:
         assert len(agent.span_parser.library) > 0
         agent.reconstruct_patterns()
         assert len(agent.span_parser.library) == 0
-        assert len(agent.trace_parser.library) == 0
+        assert len(agent.topo_library) == 0
         assert not agent.is_warmed_up
 
     def test_mounted_metadata_flushed_not_lost(self):
@@ -37,7 +37,7 @@ class TestReconstructInterface:
         agent.ingest(subtrace("1" * 32, name="old-operation"))
         agent.reconstruct_patterns()
         result = agent.ingest(subtrace("2" * 32, name="new-operation"))
-        assert result.topo_pattern_id in agent.trace_parser.library
+        assert result.topo_pattern_id in agent.topo_library
 
     def test_end_to_end_queries_survive_rebuild(self):
         backend = MintBackend()
@@ -58,4 +58,4 @@ class TestReconstructInterface:
         agent = MintAgent(node="node-0")
         agent.ingest(subtrace("1" * 32))
         agent.reconstruct_patterns()
-        assert agent.edge_case_sampler.library is agent.trace_parser.library
+        assert agent.edge_case_sampler.library is agent.topo_library

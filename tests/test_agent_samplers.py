@@ -1,13 +1,18 @@
 """Unit tests for the Symptom, Edge-Case, Head and Tail samplers."""
 
+from repro.agent.agent import MintAgent
 from repro.agent.samplers import EdgeCaseSampler, HeadSampler, SymptomSampler, TailSampler
 from repro.model.trace import SubTrace
-from repro.parsing.span_parser import DURATION_KEY, ParsedSpan, SpanParser
-from repro.parsing.trace_parser import ParsedSubTrace, TopoPatternLibrary, TraceParser
+from repro.parsing.span_parser import DURATION_KEY, ParsedSpan
+from repro.parsing.trace_parser import ParsedSubTrace, TopoPatternLibrary
 from tests.conftest import make_span
 
 
 def parsed_with(params: dict, pattern_id: str = "p" * 16) -> ParsedSubTrace:
+    """A one-span parsed sub-trace carrying what the parser gives every
+    span: a duration and the keys of its list-valued params."""
+    params = {**params}
+    params.setdefault(DURATION_KEY, 10.0)
     span = ParsedSpan(
         trace_id="t" * 32,
         span_id="s" * 16,
@@ -17,6 +22,7 @@ def parsed_with(params: dict, pattern_id: str = "p" * 16) -> ParsedSubTrace:
         pattern_id=pattern_id,
         params=params,
     )
+    span._param_lists = tuple(key for key, value in params.items() if isinstance(value, list))
     return ParsedSubTrace(
         trace_id="t" * 32, node="node-0", topo_pattern_id="tp", parsed_spans=[span]
     )
@@ -64,20 +70,18 @@ class TestSymptomSampler:
 
 class TestEdgeCaseSampler:
     def _library_with_counts(self, common: int, rare: int) -> TopoPatternLibrary:
-        parser = TraceParser(SpanParser())
-        lib = parser.library
+        agent = MintAgent(node="n")
         common_sub = SubTrace(
             trace_id="1" * 32, node="n", spans=[make_span(trace_id="1" * 32)]
         )
-        parsed = parser.parse_sub_trace(common_sub)
-        self.common_id = parsed.topo_pattern_id
+        self.common_id = agent.ingest(common_sub).topo_pattern_id
         for i in range(common - 1):
             sub = SubTrace(
                 trace_id=f"{i + 2:032x}",
                 node="n",
                 spans=[make_span(trace_id=f"{i + 2:032x}")],
             )
-            parser.parse_sub_trace(sub)
+            agent.ingest(sub)
         rare_sub = SubTrace(
             trace_id="f" * 32,
             node="n",
@@ -85,11 +89,10 @@ class TestEdgeCaseSampler:
                 make_span(trace_id="f" * 32, name="rare-op", service="rare-svc")
             ],
         )
-        parsed_rare = parser.parse_sub_trace(rare_sub)
-        self.rare_id = parsed_rare.topo_pattern_id
+        self.rare_id = agent.ingest(rare_sub).topo_pattern_id
         for _ in range(rare - 1):
-            parser.parse_sub_trace(rare_sub)
-        return lib
+            agent.ingest(rare_sub)
+        return agent.topo_library
 
     def test_rare_pattern_boosted_over_common(self):
         lib = self._library_with_counts(common=200, rare=4)

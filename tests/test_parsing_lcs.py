@@ -196,7 +196,7 @@ def library_state(workload):
         for key, parser in agent.span_parser._string_parsers.items():
             templates[node, key] = [template.tokens for template in parser.templates]
         span_patterns[node] = [p.pattern_id for p in agent.span_parser.library.patterns()]
-        topo_patterns[node] = [p.pattern_id for p in agent.trace_parser.library.patterns()]
+        topo_patterns[node] = [p.pattern_id for p in agent.topo_library.patterns()]
     state = (templates, span_patterns, topo_patterns, fingerprint(framework, online))
     framework.close()
     return state

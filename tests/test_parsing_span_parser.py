@@ -108,14 +108,6 @@ class TestCompactRecord:
         assert rebuilt.span_id == parsed.span_id
         assert rebuilt.pattern_id == parsed.pattern_id
 
-    def test_params_record_round_trip(self):
-        parser = SpanParser()
-        parsed = parser.parse(sample_span(3))
-        from repro.parsing.span_parser import ParsedSpan
-
-        rebuilt = ParsedSpan.from_record(parsed.params_record())
-        assert rebuilt == parsed
-
 
 class TestPatternSerialisation:
     def test_to_from_dict(self):

@@ -1,11 +1,16 @@
-"""Unit tests for the trace parser (topology patterns)."""
+"""Unit tests for the trace parser (topology patterns).
+
+The agent runs the inter-trace stage per sub-trace, so the sub-trace
+tests drive it through :meth:`MintAgent.ingest`.
+"""
 
 import pytest
 
+from repro.agent.agent import MintAgent
 from repro.model.span import SpanKind
 from repro.model.trace import SubTrace
 from repro.parsing.span_parser import SpanParser
-from repro.parsing.trace_parser import TopoPattern, TraceParser, extract_topo_pattern
+from repro.parsing.trace_parser import TopoPattern, extract_topo_pattern
 from tests.conftest import make_chain_trace, make_span
 
 
@@ -30,55 +35,57 @@ def make_subtrace(trace_id: str, shape: str = "chain") -> SubTrace:
 
 class TestTraceParser:
     def test_same_shape_shares_pattern(self):
-        parser = TraceParser(SpanParser())
-        a = parser.parse_sub_trace(make_subtrace("1" * 32))
-        b = parser.parse_sub_trace(make_subtrace("2" * 32))
+        agent = MintAgent(node="node-0")
+        a = agent.ingest(make_subtrace("1" * 32))
+        b = agent.ingest(make_subtrace("2" * 32))
         assert a.topo_pattern_id == b.topo_pattern_id
-        assert len(parser.library) == 1
+        assert len(agent.topo_library) == 1
 
     def test_different_shapes_split(self):
-        parser = TraceParser(SpanParser())
-        a = parser.parse_sub_trace(make_subtrace("1" * 32, "chain"))
-        b = parser.parse_sub_trace(make_subtrace("2" * 32, "fan"))
+        agent = MintAgent(node="node-0")
+        a = agent.ingest(make_subtrace("1" * 32, "chain"))
+        b = agent.ingest(make_subtrace("2" * 32, "fan"))
         assert a.topo_pattern_id != b.topo_pattern_id
-        assert len(parser.library) == 2
+        assert len(agent.topo_library) == 2
 
     def test_empty_subtrace_rejected(self):
-        parser = TraceParser(SpanParser())
-        with pytest.raises(ValueError):
-            parser.parse_sub_trace(SubTrace(trace_id="9" * 32, node="n", spans=[]))
+        agent = MintAgent(node="n")
+        with pytest.raises(ValueError, match="empty sub-trace"):
+            agent.ingest(SubTrace(trace_id="9" * 32, node="n", spans=[]))
+        assert len(agent.topo_library) == 0
+        assert "9" * 32 not in agent.params_buffer
 
     def test_match_counts_accumulate(self):
-        parser = TraceParser(SpanParser())
+        agent = MintAgent(node="node-0")
         for i in range(5):
-            parser.parse_sub_trace(make_subtrace(f"{i:032x}"))
-        (pattern,) = parser.library.patterns()
-        assert parser.library.match_count(pattern.pattern_id) == 5
-        assert parser.library.total_matches() == 5
+            agent.ingest(make_subtrace(f"{i:032x}"))
+        (pattern,) = agent.topo_library.patterns()
+        assert agent.topo_library.match_count(pattern.pattern_id) == 5
+        assert agent.topo_library.total_matches() == 5
 
     def test_sibling_order_does_not_split_patterns(self):
-        parser = TraceParser(SpanParser())
+        agent = MintAgent(node="node-0")
         # Same fan-out, children arriving in different start order.
         sub_a = make_subtrace("1" * 32, "fan")
         sub_b = make_subtrace("2" * 32, "fan")
         sub_b.spans[1], sub_b.spans[2] = sub_b.spans[2], sub_b.spans[1]
-        a = parser.parse_sub_trace(sub_a)
-        b = parser.parse_sub_trace(sub_b)
+        a = agent.ingest(sub_a)
+        b = agent.ingest(sub_b)
         assert a.topo_pattern_id == b.topo_pattern_id
 
 
 class TestTopoPattern:
     def test_span_pattern_ids_preorder(self):
-        parser = TraceParser(SpanParser())
-        parsed = parser.parse_sub_trace(make_subtrace("3" * 32, "fan"))
-        pattern = parser.library.get(parsed.topo_pattern_id)
+        agent = MintAgent(node="node-0")
+        result = agent.ingest(make_subtrace("3" * 32, "fan"))
+        pattern = agent.topo_library.get(result.topo_pattern_id)
         assert pattern.span_count == 3
         assert len(pattern.span_pattern_ids) == 3
 
     def test_serialisation_round_trip(self):
-        parser = TraceParser(SpanParser())
-        parsed = parser.parse_sub_trace(make_subtrace("4" * 32, "fan"))
-        pattern = parser.library.get(parsed.topo_pattern_id)
+        agent = MintAgent(node="node-0")
+        result = agent.ingest(make_subtrace("4" * 32, "fan"))
+        pattern = agent.topo_library.get(result.topo_pattern_id)
         rebuilt = TopoPattern.from_dict(pattern.to_dict())
         assert rebuilt == pattern
         assert rebuilt.pattern_id == pattern.pattern_id
@@ -100,8 +107,3 @@ class TestTopoPattern:
         pattern = extract_topo_pattern(sub, parsed)
         assert ("gw", "GET /") in pattern.entry_ops
         assert ("backend", "call-downstream") in pattern.exit_ops
-
-    def test_params_size_positive(self):
-        parser = TraceParser(SpanParser())
-        parsed = parser.parse_sub_trace(make_subtrace("6" * 32))
-        assert parsed.params_size_bytes() > 0

@@ -9,10 +9,13 @@ tests pin that equivalence down.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import math
 import random
 import string
+
+import pytest
 
 from repro.agent.agent import MintAgent
 from repro.agent.config import MintConfig
@@ -21,9 +24,9 @@ from repro.model.encoding import encoded_size, fast_encoded_size
 from repro.model.span import Span, SpanKind, SpanStatus
 from repro.model.trace import SubTrace
 from repro.parsing.attribute_parser import StringAttributeParser
-from repro.parsing.span_parser import ParsedSpan, SpanParser, SpanPattern, SpanPatternLibrary
+from repro.parsing.span_parser import SpanParser, SpanPattern, SpanPatternLibrary
 from repro.sim.experiment import generate_stream
-from repro.workloads import build_onlineboutique
+from repro.workloads import WORKLOAD_BUILDERS, build_onlineboutique
 
 
 def _make_span(i: int, rng: random.Random, node: str = "node-0") -> Span:
@@ -130,28 +133,90 @@ class TestIncrementalSizeEstimator:
             assert fast_encoded_size(value) == encoded_size(value)
 
     def test_params_size_matches_ruler_on_random_records(self):
+        """Every span the parser returns carries its record layout and
+        sizes to the JSON ruler's byte, on each parse path: a full parse
+        that stores a replay plan, one that cannot (plan table full), a
+        replay, and a replay whose volatile value re-interns the shape."""
         rng = random.Random(7)
-        for i in range(500):
-            params = {}
-            for j in range(rng.randrange(6)):
-                if rng.random() < 0.5:
-                    params[f"k{j}"] = rng.uniform(-1e9, 1e9)
-                else:
-                    params[f"k{j}"] = [
-                        "".join(rng.choice(string.printable) for _ in range(rng.randrange(12)))
-                        for _ in range(rng.randrange(3))
-                    ]
-            params["__duration__"] = rng.uniform(0, 1e4)
-            span = ParsedSpan(
+        parser = SpanParser()
+        paths: collections.Counter[str] = collections.Counter()
+        parse_full, parse_from_plan = parser._parse_full, parser._parse_from_plan
+
+        def counted_full(span, *args):
+            plans = len(parser._span_plans)
+            parsed = parse_full(span, *args)
+            paths["stored" if len(parser._span_plans) > plans else "unstored"] += 1
+            return parsed
+
+        def counted_replay(span, plan, *args):
+            parsed = parse_from_plan(span, plan, *args)
+            paths["replay" if parsed.pattern_id == plan[0] else "reinterned"] += 1
+            return parsed
+
+        parser._parse_full = counted_full
+        parser._parse_from_plan = counted_replay
+        labels = ['esc"ape\\', "unicode-é中文", "ctl\x01char", "plain"]
+        for i in range(600):
+            if i == 400:
+                parser._SPAN_PLAN_CAP = len(parser._span_plans)  # table full from here
+            if i % 50 == 49:
+                # A volatile value of a new shape lands on a new template.
+                msg = f"quota 'é' exceeded \\ {rng.randrange(99)} retries"
+            else:
+                msg = f'user {rng.randrange(10**6)} said "hi" é'
+            span = Span(
                 trace_id=f"t-{i}",
-                span_id=f"s-{i}",
-                parent_id=None if i % 2 else f"p-{i}",
+                span_id=f's"{i}\\' if i % 5 == 0 else f"{i:016x}",
+                parent_id=None if i % 3 == 0 else f"p-é{i}",
+                name=f"op-{i % 4}" if i < 400 or i % 2 else f"op-{i}",
+                service="svc",
+                kind=SpanKind.CLIENT if i % 4 == 1 else SpanKind.SERVER,
+                start_time=rng.uniform(0, 2e9),
+                duration=0 if i % 11 == 0 else rng.uniform(0, 1e4),
+                status=SpanStatus.ERROR if i % 7 == 0 else SpanStatus.OK,
                 node=f"node-{i % 3}",
-                start_time=rng.uniform(0, 1e6),
-                pattern_id=f"{i:016x}",
-                params=params,
+                attributes={
+                    "label": rng.choice(labels),
+                    "msg": msg,
+                    "big": rng.uniform(-1e15, 1e15),
+                    "neg": -rng.randrange(1, 10**12),
+                    "flag": i % 2 == 0,
+                },
             )
-            assert span.params_size_bytes() == encoded_size(span.params_record())
+            parsed = parser.parse(span)
+            assert parsed.params_size_bytes() == encoded_size(parsed.params_record())
+            assert parsed._param_lists == tuple(
+                key for key, value in parsed.params.items() if isinstance(value, list)
+            )
+        assert all(paths[path] for path in ("stored", "unstored", "replay", "reinterned")), paths
+
+    @pytest.mark.parametrize("workload", ["onlineboutique", "trainticket", "alibaba"])
+    def test_params_size_matches_ruler_on_each_workload_family(self, workload):
+        """The one sizer equals the JSON ruler on every span of each
+        workload family, through warmed-up agents (replays and full
+        parses alike)."""
+        stream, _ = generate_stream(
+            WORKLOAD_BUILDERS[workload](), 150, abnormal_rate=0.02, seed=11
+        )
+        traces = [trace for _, trace in stream]
+        warm: dict[str, list[Span]] = {}
+        for trace in traces[:50]:
+            for span in trace.spans:
+                warm.setdefault(span.node, []).append(span)
+        agents = {node: MintAgent(node=node) for node in warm}
+        for node, spans in warm.items():
+            agents[node].warm_up(spans)
+        checked = 0
+        for trace in traces:
+            for sub in trace.sub_traces():
+                if sub.node not in agents:
+                    agents[sub.node] = MintAgent(node=sub.node)
+                result = agents[sub.node].ingest(sub)
+                assert result.parsed is not None
+                for parsed in result.parsed.parsed_spans:
+                    assert parsed.params_size_bytes() == encoded_size(parsed.params_record())
+                    checked += 1
+        assert checked >= 150
 
     def test_params_size_matches_ruler_on_ingested_spans(self):
         """The plan-based sizing fast path must agree with the JSON
