@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import re
+from collections import deque
 from typing import Iterator
 
 from repro.agent import agent as agent_mod
 from repro.agent.agent import IngestResult
+from repro.agent.samplers import SymptomSampler
 from repro.bloom import bloom_filter as bloom_mod
 from repro.model.encoding import encoded_size
 from repro.parsing import span_parser as span_mod
@@ -186,6 +189,27 @@ def seed_bucket_of(self, value: float):
     return Bucket(index=index, negative=negative, lower=lower, upper=upper)
 
 
+_FAST_SYMPTOM_INIT = SymptomSampler.__init__
+
+
+def seed_symptom_init(self, abnormal_words=(), *args, **kwargs) -> None:
+    """Seed SymptomSampler.__init__: one compiled pattern per abnormal
+    word and a bare deque per window key, on top of today's state."""
+    _FAST_SYMPTOM_INIT(self, abnormal_words, *args, **kwargs)
+    self._word_patterns = [
+        re.compile(rf"(?<![0-9a-z]){re.escape(w.lower())}(?![0-9a-z])")
+        for w in abnormal_words
+    ]
+    self._windows = {}
+
+
+def seed_percentile(values: list[float], pct: float) -> float:
+    """Seed nearest-rank percentile over a non-empty list."""
+    ordered = sorted(values)
+    rank = max(0, min(len(ordered) - 1, int(round(pct / 100.0 * len(ordered))) - 1))
+    return ordered[rank]
+
+
 def seed_symptom_observe(self, sub_trace, parsed) -> bool:
     """Seed SymptomSampler.observe: per-word regex loop, isinstance."""
     sampled = False
@@ -212,17 +236,13 @@ def seed_has_abnormal_word(self, parts: list[str]) -> bool:
 
 def seed_is_numeric_outlier(self, key: str, value: float) -> bool:
     """Seed outlier check: sort the whole window every observation."""
-    from collections import deque
-
-    from repro.agent.samplers import _percentile
-
     window = self._windows.get(key)
     if window is None:
         window = deque(maxlen=self._window_size)
         self._windows[key] = window
     outlier = False
     if len(window) >= self.min_observations:
-        threshold = _percentile(list(window), self.percentile)
+        threshold = seed_percentile(list(window), self.percentile)
         mean = sum(window) / len(window)
         outlier = value > threshold and value > 2.0 * mean
     window.append(value)
@@ -387,7 +407,6 @@ def seed_mode() -> Iterator[None]:
     """
     from repro.agent.agent import MintAgent
     from repro.agent.params_buffer import ParamsBuffer
-    from repro.agent.samplers import SymptomSampler
     from repro.parsing.numeric_buckets import NumericBucketer
     from repro.parsing.span_parser import SpanPatternLibrary
     from repro.parsing.string_patterns import StringTemplate
@@ -403,6 +422,7 @@ def seed_mode() -> Iterator[None]:
         (TopoPatternLibrary, "register", seed_topo_library_register),
         (TopoPatternLibrary, "total_matches", seed_total_matches),
         (NumericBucketer, "bucket_of", seed_bucket_of),
+        (SymptomSampler, "__init__", seed_symptom_init),
         (SymptomSampler, "observe", seed_symptom_observe),
         (SymptomSampler, "_has_abnormal_word", seed_has_abnormal_word),
         (SymptomSampler, "_is_numeric_outlier", seed_is_numeric_outlier),

@@ -28,10 +28,6 @@ setup(
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
         "lint": ["ruff"],
-        # The cold tier's preferred codec.  Optional by contract: every
-        # cold-tier code path (and the whole test suite) runs on the
-        # stdlib zlib fallback codec when zstandard is absent.
-        "cold": ["zstandard>=0.18"],
     },
     classifiers=[
         "Programming Language :: Python :: 3",

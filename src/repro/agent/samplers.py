@@ -56,12 +56,8 @@ class SymptomSampler:
             raise ValueError("percentile must be in (0, 100)")
         self.percentile = percentile
         self.min_observations = min_observations
-        self._word_patterns = [
-            re.compile(rf"(?<![0-9a-z]){re.escape(w.lower())}(?![0-9a-z])")
-            for w in abnormal_words
-        ]
         # One alternation regex answers "any abnormal word present?" in a
-        # single C-level scan; matches iff some per-word pattern matches.
+        # single C-level scan, with word boundaries on both sides.
         self._word_regex = (
             re.compile(
                 r"(?<![0-9a-z])(?:"
@@ -71,7 +67,6 @@ class SymptomSampler:
             if abnormal_words
             else None
         )
-        self._windows: dict = {}
         # Window state per key: [deque, sorted mirror, running sum].
         # The sorted mirror makes the percentile a single index instead
         # of a per-observation sort; the running sum makes the mean one
@@ -133,7 +128,6 @@ class SymptomSampler:
             window: deque[float] = deque()
             state = [window, [], 0.0]
             self._window_state[key] = state
-            self._windows[key] = window
             ordered: list[float] = state[1]
         else:
             window, ordered, _ = state
@@ -244,10 +238,3 @@ def _default_abnormal_predicate(sub_trace: SubTrace) -> bool:
         if span.attributes.get("is_abnormal") in (True, "true", 1):
             return True
     return False
-
-
-def _percentile(values: list[float], pct: float) -> float:
-    """Nearest-rank percentile over a non-empty list."""
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(round(pct / 100.0 * len(ordered))) - 1))
-    return ordered[rank]

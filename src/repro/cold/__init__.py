@@ -3,12 +3,11 @@
 Hot storage in the :class:`~repro.backend.storage.StorageEngine` is
 plain Python objects — parameter buckets and stored Bloom filters —
 charged at canonical-JSON wire sizes.  This package seals cold
-segments of that store into compressed blocks (a trained-dictionary
-zstd codec when ``zstandard`` is installed, a stdlib ``zlib`` codec
-with the same trained dictionary otherwise) behind containers that
-keep every existing read and write path working unchanged:
+segments of that store into compressed blocks (stdlib ``zlib`` against
+a dictionary trained on the store's own records) behind containers
+that keep every existing read and write path working unchanged:
 
-* :mod:`repro.cold.codec` — the codecs and deterministic dictionary
+* :mod:`repro.cold.codec` — the codec and deterministic dictionary
   training;
 * :mod:`repro.cold.blocks` — sealed-block payload framing and the
   :class:`~repro.cold.blocks.ColdTier` block store with its lazy
@@ -27,19 +26,11 @@ pattern table.
 """
 
 from repro.cold.blocks import ColdReadError, ColdTier, ColdTierError, SealedBlock
-from repro.cold.codec import (
-    ColdCodecError,
-    ZlibCodec,
-    ZstdCodec,
-    make_codec,
-    train_fallback_dictionary,
-    zstd_available,
-)
+from repro.cold.codec import ZlibCodec, train_dictionary
 from repro.cold.compactor import ColdPolicy, CompactionStats, compact_engine
 from repro.cold.store import TieredBlooms, TieredParams
 
 __all__ = [
-    "ColdCodecError",
     "ColdPolicy",
     "ColdReadError",
     "ColdTier",
@@ -49,9 +40,6 @@ __all__ = [
     "TieredBlooms",
     "TieredParams",
     "ZlibCodec",
-    "ZstdCodec",
     "compact_engine",
-    "make_codec",
-    "train_fallback_dictionary",
-    "zstd_available",
+    "train_dictionary",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
-from repro.cold.codec import make_codec
+from repro.cold.codec import ZlibCodec
 from repro.obs.trace import NULL_OBSERVER, Observer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -34,7 +34,7 @@ BLOOM_KIND = "blooms"
 
 #: Decoded blocks kept hot; a query batch touching one sealed segment
 #: pays its inflation once, not per trace.
-DEFAULT_CACHE_BLOCKS = 8
+CACHE_BLOCKS = 8
 
 
 class ColdTierError(RuntimeError):
@@ -133,13 +133,12 @@ class SealedBlock:
 class ColdTier:
     """A store's sealed blocks, trained dictionary and decode cache."""
 
-    def __init__(self, codec=None, cache_blocks: int = DEFAULT_CACHE_BLOCKS) -> None:
-        self.codec = codec if codec is not None else make_codec("auto")
+    def __init__(self) -> None:
+        self.codec = ZlibCodec()
         self.dictionary = b""
         self._blocks: dict[int, SealedBlock] = {}
         self._next_id = 0
         self._cache: OrderedDict[int, Any] = OrderedDict()
-        self._cache_blocks = cache_blocks
         # Lifetime counters (monotonic — promotion does not roll back).
         self.blocks_sealed = 0
         self.blocks_promoted = 0
@@ -160,15 +159,6 @@ class ColdTier:
     # ------------------------------------------------------------------
     # Dictionary
     # ------------------------------------------------------------------
-    def set_codec(self, codec) -> None:
-        """Swap the codec before anything was sealed or trained."""
-        if self._blocks or self.dictionary:
-            raise ColdTierError(
-                "cannot change the cold codec once blocks were sealed or a "
-                "dictionary was trained (sealed payloads would not decode)"
-            )
-        self.codec = codec
-
     def train(self, samples: list[bytes], max_dict_bytes: int) -> None:
         """Train the shared dictionary once, on first compaction."""
         if not self.dictionary and samples and max_dict_bytes > 0:
@@ -274,7 +264,7 @@ class ColdTier:
         )
         self.blocks_decoded += 1
         self._cache[block_id] = decoded
-        while len(self._cache) > self._cache_blocks:
+        while len(self._cache) > CACHE_BLOCKS:
             self._cache.popitem(last=False)
         if self.observer.enabled:
             self._obs_decode_hist.observe(max(0.0, perf_counter() - decode_start))

@@ -1,46 +1,28 @@
-"""Cold-tier codecs: trained-dictionary block compression.
+"""The cold-tier codec: stdlib ``zlib`` with a trained preset dictionary.
 
-Two interchangeable codecs sit behind one three-method surface
-(``train`` / ``compress`` / ``decompress``):
-
-* :class:`ZstdCodec` — ``zstandard`` with a dictionary produced by
-  ``zstd.train_dictionary`` over corpus samples (the UnifiedStateCodec
-  technique: train on the data's own templated chunks, compress each
-  block against the shared dictionary);
-* :class:`ZlibCodec` — the stdlib fallback: ``zlib`` with a ``zdict``
-  preset dictionary assembled deterministically from the same samples.
-
-``zstandard`` is an optional dependency (the ``cold`` extras group);
-importing this module never requires it, and :func:`make_codec`'s
-``"auto"`` mode degrades to zlib without changing any byte-accounting
-contract — only the physical compression ratio differs.
+:class:`ZlibCodec` has one three-method surface (``train`` /
+``compress`` / ``decompress``): the dictionary is trained on the
+corpus's own templated chunks and every block is compressed against
+it — the trained-dictionary technique of the UnifiedStateCodec bench,
+with DEFLATE's ``zdict`` preset in place of a zstd dictionary.  It
+needs nothing beyond the standard library, so sealed bytes never
+depend on which packages happen to be installed.
 
 Dictionary training must be deterministic (the cold bit-identity gate
-re-runs compaction and diffs byte tables), so the fallback trainer
-uses only frequency counts and first-seen order, never hashing seeds
-or wall-clock state.
+re-runs compaction and diffs byte tables), so the trainer uses only
+frequency counts and first-seen order, never hashing seeds or
+wall-clock state.
 """
 
 from __future__ import annotations
 
 import zlib
 
-try:  # pragma: no cover - exercised only where zstandard is installed
-    import zstandard as _zstd
-except ImportError:  # pragma: no cover - the default in bare containers
-    _zstd = None
+#: DEFLATE level for every sealed block.
+LEVEL = 9
 
 
-class ColdCodecError(RuntimeError):
-    """A codec was requested that this environment cannot provide."""
-
-
-def zstd_available() -> bool:
-    """True when the optional ``zstandard`` package is importable."""
-    return _zstd is not None
-
-
-def train_fallback_dictionary(samples: list[bytes], max_bytes: int = 8192) -> bytes:
+def train_dictionary(samples: list[bytes], max_bytes: int = 8192) -> bytes:
     """Assemble a preset dictionary from corpus samples, deterministically.
 
     Samples are ranked by frequency (ties broken by first-seen order,
@@ -70,18 +52,15 @@ class ZlibCodec:
 
     name = "zlib"
 
-    def __init__(self, level: int = 9) -> None:
-        self.level = level
-
     def train(self, samples: list[bytes], max_dict_bytes: int) -> bytes:
-        """Build the preset dictionary (see the module trainer)."""
-        return train_fallback_dictionary(samples, max_dict_bytes)
+        """Build the preset dictionary (see :func:`train_dictionary`)."""
+        return train_dictionary(samples, max_dict_bytes)
 
     def compress(self, data: bytes, dictionary: bytes = b"") -> bytes:
         if dictionary:
-            compressor = zlib.compressobj(self.level, zdict=dictionary)
+            compressor = zlib.compressobj(LEVEL, zdict=dictionary)
         else:
-            compressor = zlib.compressobj(self.level)
+            compressor = zlib.compressobj(LEVEL)
         return compressor.compress(data) + compressor.flush()
 
     def decompress(self, blob: bytes, dictionary: bytes = b"") -> bytes:
@@ -90,58 +69,3 @@ class ZlibCodec:
         else:
             decompressor = zlib.decompressobj()
         return decompressor.decompress(blob) + decompressor.flush()
-
-
-class ZstdCodec:
-    """``zstandard`` with a trained dictionary (the preferred codec)."""
-
-    name = "zstd"
-
-    def __init__(self, level: int = 10) -> None:
-        if _zstd is None:
-            raise ColdCodecError(
-                "the zstd codec needs the optional 'zstandard' package "
-                "(pip install 'mint-repro[cold]'); use make_codec('auto') "
-                "to fall back to the stdlib zlib codec"
-            )
-        self.level = level
-
-    def train(self, samples: list[bytes], max_dict_bytes: int) -> bytes:
-        """Train a zstd dictionary; degrade to the preset assembler when
-        the sample set is too small/uniform for the trainer (zstd raises
-        on degenerate inputs — a tiny corpus must still seal)."""
-        usable = [s for s in samples if s]
-        try:
-            return _zstd.train_dictionary(max_dict_bytes, usable).as_bytes()
-        except Exception:
-            return train_fallback_dictionary(samples, max_dict_bytes)
-
-    def compress(self, data: bytes, dictionary: bytes = b"") -> bytes:
-        if dictionary:
-            ctx = _zstd.ZstdCompressor(
-                level=self.level, dict_data=_zstd.ZstdCompressionDict(dictionary)
-            )
-        else:
-            ctx = _zstd.ZstdCompressor(level=self.level)
-        return ctx.compress(data)
-
-    def decompress(self, blob: bytes, dictionary: bytes = b"") -> bytes:
-        if dictionary:
-            ctx = _zstd.ZstdDecompressor(
-                dict_data=_zstd.ZstdCompressionDict(dictionary)
-            )
-        else:
-            ctx = _zstd.ZstdDecompressor()
-        return ctx.decompress(blob)
-
-
-def make_codec(name: str = "auto", level: int | None = None):
-    """Build a codec by name: ``"zstd"``, ``"zlib"``, or ``"auto"``
-    (zstd when importable, zlib otherwise — never an import error)."""
-    if name == "auto":
-        name = "zstd" if zstd_available() else "zlib"
-    if name == "zstd":
-        return ZstdCodec(level=level if level is not None else 10)
-    if name == "zlib":
-        return ZlibCodec(level=level if level is not None else 9)
-    raise ColdCodecError(f"unknown cold codec {name!r} (want zstd, zlib or auto)")

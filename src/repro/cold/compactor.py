@@ -1,12 +1,12 @@
 """The compaction pass: seal cold segments of one storage engine.
 
-A :class:`ColdPolicy` picks *what* is cold — by recency over the
-store's insertion order (``lru``: keep the newest N params buckets and
-stored filters hot) or by time window (``time``: seal buckets whose
-newest record is older than ``max_age``) — and *how* it is sealed
-(block sizes, codec, dictionary budget).  :func:`compact_engine` runs
-one pass over one engine; sharded deployments run it per shard (the
-backend plane's ``compact_cold`` fans out).
+A :class:`ColdPolicy` picks *what* is cold by recency over the store's
+insertion order: the newest ``keep_hot_traces`` params buckets and
+``keep_hot_blooms`` stored filters stay hot, everything older is
+sealed in fixed-size blocks (:data:`BLOCK_TRACES`, :data:`BLOCK_BLOOMS`)
+against a dictionary trained once per tier.  :func:`compact_engine`
+runs one pass over one engine; sharded deployments run it per shard
+(the backend plane's ``compact_cold`` fans out).
 
 Fidelity is checked at seal time twice over: every selected bucket
 must survive the canonical-JSON frame round trip *before* sealing
@@ -25,40 +25,33 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.cold.blocks import decode_params_payload, encode_params_payload
-from repro.cold.codec import make_codec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.backend.storage import StorageEngine
 
 
+# Small params blocks on purpose: a read or promote decodes one block,
+# and the trained dictionary amortises across many blocks (sized so the
+# dictionary pays for itself — see the bench's trained_vs_plain table).
+BLOCK_TRACES = 2  # params buckets per sealed block
+BLOCK_BLOOMS = 64  # stored filters per sealed block
+DICT_BYTES = 1024  # trained-dictionary budget
+TRAIN_SAMPLES = 256  # params records sampled into training
+
+
 @dataclass(frozen=True)
 class ColdPolicy:
-    """What to seal and how to compress it."""
+    """How much of the store's recent tail stays hot."""
 
-    mode: str = "lru"  # "lru" (recency over insertion order) | "time"
-    keep_hot_traces: int = 0  # lru: newest N params buckets stay hot
+    keep_hot_traces: int = 0  # newest N params buckets stay hot
     keep_hot_blooms: int = 0  # newest N stored filters stay hot
-    max_age: float | None = None  # time: seal buckets older than now - max_age
-    # Small params blocks on purpose: a read or promote decodes one
-    # block, and the trained dictionary amortises across many blocks
-    # (sized so the dictionary pays for itself even on the zlib
-    # fallback — see the bench's trained_vs_plain table).
-    block_traces: int = 2  # params buckets per sealed block
-    block_blooms: int = 64  # stored filters per sealed block
-    codec: str = "auto"  # "auto" | "zstd" | "zlib"
-    level: int | None = None
-    dict_bytes: int = 1024  # trained-dictionary budget
-    train_samples: int = 256  # params records sampled into training
+    codec: str = "zlib"  # the only codec; named for existing callers
 
     def __post_init__(self) -> None:
-        if self.mode not in ("lru", "time"):
-            raise ValueError(f"cold policy mode must be 'lru' or 'time', got {self.mode!r}")
-        if self.mode == "time" and self.max_age is None:
-            raise ValueError("a time-window cold policy needs max_age seconds")
         if self.keep_hot_traces < 0 or self.keep_hot_blooms < 0:
             raise ValueError("keep_hot_* must be >= 0")
-        if self.block_traces <= 0 or self.block_blooms <= 0:
-            raise ValueError("block sizes must be positive")
+        if self.codec != "zlib":
+            raise ValueError(f"the cold tier's only codec is 'zlib', got {self.codec!r}")
 
 
 @dataclass
@@ -131,7 +124,6 @@ def _canonical(obj: Any) -> bytes:
 def _corpus_samples(
     engine: "StorageEngine",
     selected: list[tuple[str, list[list[Any]]]],
-    policy: ColdPolicy,
 ) -> list[bytes]:
     """Training corpus: the engine's own pattern library plus a capped,
     deterministic sample of the records about to be sealed.  Patterns
@@ -139,7 +131,7 @@ def _corpus_samples(
     highest-value dictionary content per byte."""
     samples = [_canonical(p.to_dict()) for p in engine.span_patterns.values()]
     samples += [_canonical(p.to_dict()) for p in engine.topo_patterns.values()]
-    budget = policy.train_samples
+    budget = TRAIN_SAMPLES
     for _, bucket in selected:
         if budget <= 0:
             break
@@ -150,23 +142,16 @@ def _corpus_samples(
 
 
 def _select_params(
-    engine: "StorageEngine", policy: ColdPolicy, now: float
+    engine: "StorageEngine", policy: ColdPolicy
 ) -> list[tuple[str, list[list[Any]]]]:
     hot = [(tid, bucket) for tid, bucket in engine.params.hot_items() if bucket]
-    if policy.mode == "lru":
-        cut = len(hot) - policy.keep_hot_traces
-        return hot[: max(cut, 0)]
-    cutoff = now - (policy.max_age or 0.0)
-    return [
-        (tid, bucket)
-        for tid, bucket in hot
-        if max(record[4] for record in bucket) <= cutoff
-    ]
+    cut = len(hot) - policy.keep_hot_traces
+    return hot[: max(cut, 0)]
 
 
 def _select_blooms(engine: "StorageEngine", policy: ColdPolicy) -> list[int]:
-    # Stored filters carry no timestamps; both modes age them by stored
-    # order, keeping the newest keep_hot_blooms hot (new flushes append).
+    # Stored filters age by stored order, keeping the newest
+    # keep_hot_blooms hot (new flushes append).
     positions = engine.blooms.hot_positions()
     cut = len(positions) - policy.keep_hot_blooms
     return positions[: max(cut, 0)]
@@ -177,7 +162,7 @@ def _chunks(items: list, size: int) -> list[list]:
 
 
 def compact_engine(
-    engine: "StorageEngine", policy: ColdPolicy | None = None, now: float = 0.0
+    engine: "StorageEngine", policy: ColdPolicy | None = None
 ) -> CompactionStats:
     """Run one compaction pass over one engine; returns its stats.
 
@@ -188,19 +173,15 @@ def compact_engine(
     policy = policy if policy is not None else ColdPolicy()
     started = time.perf_counter()
     tier = engine.cold
-    if (policy.codec != "auto" or policy.level is not None) and (
-        not len(tier) and not tier.dictionary
-    ):
-        tier.set_codec(make_codec(policy.codec, policy.level))
     stats = CompactionStats(codec=tier.codec.name)
 
-    selected = _select_params(engine, policy, now)
+    selected = _select_params(engine, policy)
     bloom_positions = _select_blooms(engine, policy)
     if not selected and not bloom_positions:
         stats.elapsed_seconds = time.perf_counter() - started
         return stats
 
-    tier.train(_corpus_samples(engine, selected, policy), policy.dict_bytes)
+    tier.train(_corpus_samples(engine, selected), DICT_BYTES)
 
     sealable: list[tuple[str, list[list[Any]]]] = []
     for trace_id, bucket in selected:
@@ -212,7 +193,7 @@ def compact_engine(
         else:
             stats.skipped_traces += 1
 
-    for chunk in _chunks(sealable, policy.block_traces):
+    for chunk in _chunks(sealable, BLOCK_TRACES):
         block = tier.block(engine.seal_params_block(chunk))
         stats.blocks += 1
         stats.params_traces += len(chunk)
@@ -220,7 +201,7 @@ def compact_engine(
         stats.raw_bytes += block.raw_bytes
         stats.physical_bytes += block.physical_bytes
 
-    for chunk in _chunks(bloom_positions, policy.block_blooms):
+    for chunk in _chunks(bloom_positions, BLOCK_BLOOMS):
         block = tier.block(engine.seal_bloom_block(chunk))
         stats.blocks += 1
         stats.bloom_filters += len(chunk)

@@ -482,12 +482,11 @@ class MintFramework(TracingFramework):
         so the physical meter sees the new split.  Safe at any point of
         a run: queries read through seal boundaries and the logical
         byte tables never move.  Returns the per-engine
-        :class:`~repro.cold.CompactionStats`.
+        :class:`~repro.cold.CompactionStats`.  ``now`` is accepted for
+        positional callers and unused: the policy ages by recency.
         """
-        if now is None:
-            now = self._now
         self._quiesce()
-        stats = self.backend.compact_cold(policy, now=now)
+        stats = self.backend.compact_cold(policy)
         self.transport.sync_storage()
         return stats
 

@@ -22,32 +22,23 @@ import re
 _DELIMITERS = r"([\s,;=\(\)\[\]\{\}\?&/:\-_.'\"@#!|+]+)"
 
 _SPLIT_RE = re.compile(_DELIMITERS)
-_WHITESPACE_RE = re.compile(r"^\s+$")
 
 
 def tokenize(value: str) -> list[str]:
     """Split ``value`` into word and delimiter tokens.
 
-    Whitespace-only fragments are normalised to a single space token so
-    that re-joining (:func:`detokenize`) produces a canonical string.
+    Every fragment is kept verbatim — whitespace included — so
+    ``detokenize(tokenize(value)) == value`` for every string, and a
+    template learned from a value's tokens always matches that value.
 
     >>> tokenize("select * from A")
     ['select', ' ', '*', ' ', 'from', ' ', 'A']
     """
-    tokens: list[str] = []
-    for fragment in _SPLIT_RE.split(value):
-        if not fragment:
-            continue
-        if _WHITESPACE_RE.match(fragment):
-            tokens.append(" ")
-        else:
-            tokens.append(fragment)
-    return tokens
+    return [fragment for fragment in _SPLIT_RE.split(value) if fragment]
 
 
 def detokenize(tokens: list[str]) -> str:
-    """Reassemble tokens into a string (inverse of :func:`tokenize` up to
-    whitespace normalisation)."""
+    """Reassemble tokens into a string (exact inverse of :func:`tokenize`)."""
     return "".join(tokens)
 
 

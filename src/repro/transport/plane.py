@@ -305,7 +305,7 @@ class BackendPlane(abc.ABC):
             return list(shards)
         return [self.storage]
 
-    def compact_cold(self, policy=None, now: float = 0.0) -> list:
+    def compact_cold(self, policy=None) -> list:
         """Seal cold segments on every engine; one stats row per engine.
 
         Queries keep reading through the seal boundaries; the logical
@@ -313,10 +313,7 @@ class BackendPlane(abc.ABC):
         """
         from repro.cold.compactor import compact_engine
 
-        return [
-            compact_engine(engine, policy, now=now)
-            for engine in self.storage_engines()
-        ]
+        return [compact_engine(engine, policy) for engine in self.storage_engines()]
 
     # ------------------------------------------------------------------
     # Accounting

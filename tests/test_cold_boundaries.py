@@ -19,7 +19,7 @@ import pytest
 from repro.agent.reports import BloomReport, ParamsReport
 from repro.backend.backend import MintBackend
 from repro.backend.storage import StorageEngine
-from repro.cold import ColdPolicy, ColdReadError, compact_engine
+from repro.cold import ColdPolicy, ColdReadError, compact_engine, compactor
 from repro.framework import MintFramework
 from repro.sim.experiment import generate_stream
 from repro.transport import Deployment
@@ -221,6 +221,68 @@ class TestRetroactiveWritesAgainstSealedRecords:
             backend.query(target)
 
 
+class TestColdReadErrorMidCursor:
+    """A corrupt block met mid-batch: what the cursor, the store and the
+    plan counters do (pinned as-is; a lenient cursor would change it)."""
+
+    @pytest.mark.parametrize("shape", ["single", "sharded-2"])
+    def test_cursor_yields_up_to_the_corrupt_block_then_raises(self, shape):
+        deployment = Deployment.single() if shape == "single" else Deployment.sharded(2)
+        traces, _ = generate_stream(
+            build_onlineboutique(), 300, abnormal_rate=0.1, seed=7
+        )
+        framework = MintFramework(deployment=deployment, auto_warmup_traces=WARMUP)
+        for now, trace in traces:
+            framework.process_trace(trace, now)
+        framework.finalize(traces[-1][0])
+        framework.compact(ColdPolicy())
+
+        def block_of(trace_id):
+            for engine in framework.backend.storage_engines():
+                block_id = engine.params._cold.get(trace_id)
+                if block_id is not None:
+                    return engine, block_id
+            return None, None
+
+        # One exact, sealed id per block, so corrupting the 6th id's
+        # block touches no other id of the batch.
+        ids, blocks = [], set()
+        for _, trace in traces:
+            engine, block_id = block_of(trace.trace_id)
+            if block_id is None or (id(engine), block_id) in blocks:
+                continue
+            if framework.query(trace.trace_id).status == "exact":
+                blocks.add((id(engine), block_id))
+                ids.append(trace.trace_id)
+            if len(ids) == 9:
+                break
+        assert len(ids) == 9
+        engine, block_id = block_of(ids[5])
+        tier = engine.cold
+        tier._blocks[block_id] = dataclasses.replace(
+            tier.block(block_id), payload=b"\x00corrupt\xff"
+        )
+        tier._cache.pop(block_id, None)
+
+        totals = framework.backend.plan_totals
+        candidates, yielded = totals.candidates, totals.yielded
+        statuses = []
+        with pytest.raises(ColdReadError, match=f"params block {block_id} "):
+            for result in framework.query_many(ids):
+                statuses.append(result.status)
+        assert statuses == ["exact"] * 5
+        # The aborted cursor still settled its counters.
+        assert totals.candidates - candidates == 6
+        assert totals.yielded - yielded == 5
+        # The store stays usable: healthy sealed ids answer, the
+        # corrupt one keeps failing loudly.
+        assert framework.query(ids[0]).status == "exact"
+        assert framework.query(ids[8]).status == "exact"
+        with pytest.raises(ColdReadError):
+            framework.query(ids[5])
+        framework.close()
+
+
 def engine_with_hosts() -> StorageEngine:
     """Buckets with disjoint and shared hosts, plus blooms per host."""
     engine = StorageEngine()
@@ -248,10 +310,15 @@ def engine_with_hosts() -> StorageEngine:
 
 
 class TestEvictionWithSealedSegments:
+    @pytest.fixture(autouse=True)
+    def one_entry_per_block(self, monkeypatch):
+        monkeypatch.setattr(compactor, "BLOCK_TRACES", 1)
+        monkeypatch.setattr(compactor, "BLOCK_BLOOMS", 1)
+
     def test_eviction_matches_the_never_sealed_twin_exactly(self):
         sealed = engine_with_hosts()
         plain = engine_with_hosts()
-        compact_engine(sealed, ColdPolicy(block_traces=1, block_blooms=1))
+        compact_engine(sealed, ColdPolicy())
         assert sealed.params.sealed_count() == 3
 
         sealed_blooms, sealed_params = sealed.evict_host("node-a")
@@ -274,7 +341,7 @@ class TestEvictionWithSealedSegments:
 
     def test_eviction_is_segment_granular(self):
         engine = engine_with_hosts()
-        compact_engine(engine, ColdPolicy(block_traces=1, block_blooms=1))
+        compact_engine(engine, ColdPolicy())
         engine.evict_host("node-a")
         # node-b's single-host bucket lives in a block node-a never
         # touched: it must still be sealed (no promote-the-world).
@@ -284,7 +351,7 @@ class TestEvictionWithSealedSegments:
 
     def test_physical_split_survives_eviction(self):
         engine = engine_with_hosts()
-        compact_engine(engine, ColdPolicy(block_traces=1, block_blooms=1))
+        compact_engine(engine, ColdPolicy())
         engine.evict_host("node-a")
         assert engine.physical_storage_bytes() == (
             engine.storage_bytes() - engine.cold_savings_bytes()

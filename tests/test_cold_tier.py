@@ -1,8 +1,8 @@
-"""Cold-tier units: codecs, sealed blocks, tiered containers.
+"""Cold-tier units: the codec, sealed blocks, tiered containers.
 
 The contracts pinned here are the ones the seal-boundary integration
 tests (test_cold_boundaries.py) and the cold bench gate build on:
-codecs roundtrip bit-for-bit (with and without a trained dictionary),
+the codec roundtrips bit-for-bit (with and without a trained dictionary),
 the block store fails loudly on corruption, and the tiered containers
 are behaviourally indistinguishable from the plain dict/list they
 replace — including iteration order across seal/unseal cycles.
@@ -11,13 +11,18 @@ replace — including iteration order across seal/unseal cycles.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.backend.storage import StorageEngine, StoredBloom
 from repro.bloom.bloom_filter import BloomFilter
 from repro.cold import (
-    ColdCodecError,
     ColdPolicy,
     ColdReadError,
     ColdTier,
@@ -25,9 +30,8 @@ from repro.cold import (
     TieredParams,
     ZlibCodec,
     compact_engine,
-    make_codec,
-    train_fallback_dictionary,
-    zstd_available,
+    compactor,
+    train_dictionary,
 )
 from repro.cold.blocks import (
     BLOOM_KIND,
@@ -77,38 +81,20 @@ class TestCodecs:
 
     def test_fallback_trainer_is_deterministic_and_bounded(self):
         samples = [b"abc", b"def", b"abc", b"xyz" * 100]
-        assert train_fallback_dictionary(samples, 64) == train_fallback_dictionary(
-            samples, 64
-        )
-        assert len(train_fallback_dictionary(samples, 64)) <= 64
+        assert train_dictionary(samples, 64) == train_dictionary(samples, 64)
+        assert len(train_dictionary(samples, 64)) <= 64
         # Most frequent sample sits at the tail (DEFLATE's cheap zone).
-        assert train_fallback_dictionary(samples, 4096).endswith(b"abc")
+        assert train_dictionary(samples, 4096).endswith(b"abc")
 
-    def test_make_codec_auto_never_fails(self):
-        codec = make_codec("auto")
-        assert codec.name in ("zstd", "zlib")
-        data = b"payload" * 20
-        assert codec.decompress(codec.compress(data)) == data
-
-    @pytest.mark.skipif(zstd_available(), reason="zstandard is installed")
-    def test_explicit_zstd_fails_loudly_when_missing(self):
-        with pytest.raises(ColdCodecError):
-            make_codec("zstd")
-
-    @pytest.mark.skipif(not zstd_available(), reason="zstandard not installed")
-    def test_zstd_roundtrip_with_trained_dictionary(self):
-        codec = make_codec("zstd")
-        samples = [
-            encode_params_payload({tid: bucket}) for tid, bucket in RECORDS.items()
-        ]
-        dictionary = codec.train(samples, 8192)
-        data = samples[0]
-        blob = codec.compress(data, dictionary)
-        assert codec.decompress(blob, dictionary) == data
+    def test_tier_always_seals_with_zlib(self):
+        tier = ColdTier()
+        assert tier.codec.name == "zlib"
+        assert tier.stats()["codec"] == "zlib"
 
     def test_unknown_codec_rejected(self):
-        with pytest.raises(ColdCodecError):
-            make_codec("lz4")
+        for name in ("zstd", "auto", "lz4"):
+            with pytest.raises(ValueError):
+                ColdPolicy(codec=name)
 
 
 def make_bloom(node: str, pattern: str, items: list[str]) -> StoredBloom:
@@ -196,12 +182,6 @@ class TestColdTier:
         again = tier.decode(block_id)
         assert first is again
         assert tier.blocks_decoded == 1
-
-    def test_codec_locked_after_first_seal(self):
-        tier = ColdTier()
-        tier.seal(PARAMS_KIND, b"{}", 1, frozenset(), ())
-        with pytest.raises(Exception):
-            tier.set_codec(ZlibCodec())
 
 
 class TestTieredParams:
@@ -331,12 +311,11 @@ class TestCompactEngine:
             )
         return engine
 
-    def test_ruler_never_moves_and_physical_shrinks(self):
+    def test_ruler_never_moves_and_physical_shrinks(self, monkeypatch):
+        monkeypatch.setattr(compactor, "BLOCK_TRACES", 3)
         engine = self.drive_engine()
         logical_before = engine.storage_bytes()
-        stats = compact_engine(
-            engine, ColdPolicy(block_traces=3, dict_bytes=1024), now=0.0
-        )
+        stats = compact_engine(engine, ColdPolicy())
         assert stats.params_traces == len(RECORDS)
         assert engine.storage_bytes() == logical_before
         assert engine.physical_storage_bytes() < logical_before
@@ -359,18 +338,65 @@ class TestCompactEngine:
         assert not engine.params.is_sealed(tids[-1])
         assert not engine.params.is_sealed(tids[-2])
 
-    def test_time_window_seals_only_old_buckets(self):
-        engine = self.drive_engine()
-        # Bucket i's newest record is at 1.6 + i; seal those older than
-        # now - max_age = 4.0 -> buckets 0 and 1 (1.6, 2.6) plus 2 (3.6).
-        compact_engine(engine, ColdPolicy(mode="time", max_age=6.0), now=10.0)
-        tids = list(RECORDS)
-        assert engine.params.is_sealed(tids[0])
-        assert engine.params.is_sealed(tids[2])
-        assert not engine.params.is_sealed(tids[-1])
+    def test_policy_has_three_fields_and_rejects_negative_keeps(self):
+        assert [f.name for f in dataclasses.fields(ColdPolicy)] == [
+            "keep_hot_traces",
+            "keep_hot_blooms",
+            "codec",
+        ]
+        with pytest.raises(ValueError):
+            ColdPolicy(keep_hot_traces=-1)
+        with pytest.raises(ValueError):
+            ColdPolicy(keep_hot_blooms=-1)
 
-    def test_time_policy_requires_max_age(self):
-        with pytest.raises(ValueError):
-            ColdPolicy(mode="time")
-        with pytest.raises(ValueError):
-            ColdPolicy(mode="mru")
+
+# Seals a small OnlineBoutique run and prints what the cold tier holds.
+_COMPACTION_RUN = """
+import json
+from repro.cold import ColdPolicy
+from repro.framework import MintFramework
+from repro.sim.experiment import generate_stream
+from repro.workloads import build_onlineboutique
+
+stream, _ = generate_stream(build_onlineboutique(), 120, abnormal_rate=0.1, seed=7)
+framework = MintFramework(auto_warmup_traces=40)
+for now, trace in stream:
+    framework.process_trace(trace, now)
+framework.finalize(stream[-1][0])
+stats = framework.compact()
+print(json.dumps({
+    "physical_storage_bytes": framework.physical_storage_bytes,
+    "cold_stats": framework.cold_stats(),
+    "codecs": sorted({part.codec for part in stats}),
+}, sort_keys=True))
+"""
+
+
+class TestInstalledPackages:
+    def run_compaction(self, extra_path: list[str]) -> dict:
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([*extra_path, src]))
+        done = subprocess.run(
+            [sys.executable, "-c", _COMPACTION_RUN],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    def test_sealed_bytes_do_not_depend_on_installed_packages(self, tmp_path):
+        # A poisoned zstandard on the path: importable, but any use raises.
+        stub = tmp_path / "zstandard"
+        stub.mkdir()
+        (stub / "__init__.py").write_text(
+            "def __getattr__(name):\n"
+            "    raise RuntimeError(f'stub zstandard: {name}')\n"
+        )
+        plain = self.run_compaction([])
+        stubbed = self.run_compaction([str(tmp_path)])
+        assert stubbed == plain
+        assert plain["codecs"] == ["zlib"]
+        assert plain["cold_stats"]["codec"] == "zlib"
+        assert plain["physical_storage_bytes"] < plain["cold_stats"]["logical_storage_bytes"]

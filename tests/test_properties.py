@@ -86,13 +86,10 @@ class TestBloomProperties:
 # Templates
 # ----------------------------------------------------------------------
 class TestTemplateProperties:
-    @given(safe_text)
-    @settings(max_examples=100, deadline=None)
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
     def test_tokenize_detokenize_stable(self, text):
-        tokens = tokenize(text)
-        rebuilt = detokenize(tokens)
-        # Whitespace is normalised once; a second pass is a fixpoint.
-        assert detokenize(tokenize(rebuilt)) == rebuilt
+        assert detokenize(tokenize(text)) == text
 
     @given(st.lists(words, min_size=1, max_size=6), st.lists(words, min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)

@@ -105,7 +105,7 @@ def test_hot_and_sealed_answers_equal_the_oracle(stream, shards):
     drive(framework, traces[60:])
     hot = assert_identical_to_oracle(framework, ids)
     assert statuses(hot) == {"exact", "partial", "miss"}
-    framework.compact(ColdPolicy(codec="zlib", keep_hot_traces=5))
+    framework.compact(ColdPolicy(keep_hot_traces=5))
     assert framework.cold_stats()["sealed_blocks"] > 0
     assert assert_identical_to_oracle(framework, ids) == hot
     framework.close()
