@@ -16,7 +16,7 @@ from typing import Any
 
 from repro.backend.storage import StorageEngine
 from repro.model.trace import Trace
-from repro.parsing.span_parser import ParsedSpan, approximate_span_view, reconstruct_exact_span
+from repro.parsing.span_parser import approximate_span_view, span_from_record
 from repro.parsing.trace_parser import TopoNode, TopoPattern
 from repro.query.result import (
     ApproximateSegment,
@@ -60,13 +60,13 @@ class Querier:
     # ------------------------------------------------------------------
     def _reconstruct_exact(self, trace_id: str) -> Trace | None:
         records = self.storage.params.get(trace_id, [])
+        patterns = self.storage.span_patterns
         spans = []
         for record in records:
-            pattern = self.storage.span_patterns.get(record[3])
+            pattern = patterns.get(record[3])
             if pattern is None:
                 continue
-            parsed = ParsedSpan.from_compact_record(trace_id, record, pattern)
-            spans.append(reconstruct_exact_span(pattern, parsed))
+            spans.append(span_from_record(trace_id, record, pattern))
         if not spans:
             return None
         spans.sort(key=lambda s: (s.start_time, s.span_id))
@@ -82,21 +82,40 @@ class Querier:
         by_pattern: dict[str, list[str]] = {}
         for stored in matches:
             by_pattern.setdefault(stored.topo_pattern_id, []).append(stored.node)
+        key = tuple(sorted(by_pattern))
+        orders = self.storage.segment_orders
+        order = orders.get(key)
+        if order is None:
+            order = orders[key] = self._segment_order(key)
+        if not order:
+            return None
+        segments = [
+            ApproximateSegment(pattern_id, sorted(set(by_pattern[pattern_id])), *render)
+            for pattern_id, render in order
+        ]
+        return ApproximateTrace(trace_id=trace_id, segments=segments)
+
+    def _segment_order(self, pattern_ids: tuple[str, ...]) -> tuple:
+        """The stitched segments for one matched topo-pattern set, as
+        ``((pattern_id, render), ...)``: false-positive pruning and
+        stitching read only the entry/exit operations of the renders,
+        so the kept order is a pure function of the sorted ids and is
+        memoised in ``storage.segment_orders`` beside the renders (both
+        are dropped together)."""
         renders = self.storage.segment_renders
         segments: list[ApproximateSegment] = []
-        for pattern_id, nodes in sorted(by_pattern.items()):
+        for pattern_id in pattern_ids:
             render = renders.get(pattern_id)
             if render is None:
                 pattern = self.storage.topo_patterns.get(pattern_id)
                 if pattern is None:
                     continue
                 render = renders[pattern_id] = self._render_segment(pattern)
-            segments.append(ApproximateSegment(pattern_id, sorted(set(nodes)), *render))
+            segments.append(ApproximateSegment(pattern_id, [], *render))
         if not segments:
-            return None
-        segments = _drop_unconnected_false_positives(segments)
-        ordered = _stitch_segments(segments)
-        return ApproximateTrace(trace_id=trace_id, segments=ordered)
+            return ()
+        ordered = _stitch_segments(_drop_unconnected_false_positives(segments))
+        return tuple((seg.topo_pattern_id, renders[seg.topo_pattern_id]) for seg in ordered)
 
     def _render_segment(self, pattern: TopoPattern) -> tuple[list, list, list]:
         """The pattern-only part of a segment: ``(spans, entry_ops,

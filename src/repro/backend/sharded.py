@@ -234,7 +234,8 @@ class MergedStorageView:
         self._extra_sampled: set[str] = set()
         self.sampled_trace_ids = _MergedSampledIds(shards, self._extra_sampled)
         self._segment_renders: dict[str, Any] = {}
-        self._render_token: tuple = ()  # what the memo was filled under
+        self._segment_orders: dict[tuple[str, ...], Any] = {}
+        self._render_token: tuple = ()  # what the memos were filled under
 
     # ------------------------------------------------------------------
     # Incremental merge state (fed by ShardedBackend.receive)
@@ -323,8 +324,10 @@ class MergedStorageView:
         h1, h2 = digest or _digest_pair(trace_id)
         candidates: set[str] = set(self._prescreen_saturated)
         for pattern_id, groups in self._merged_blooms.items():
-            if any(merged.contains_hashed(h1, h2) for merged in groups.values()):
-                candidates.add(pattern_id)
+            for merged in groups.values():
+                if merged.contains_hashed(h1, h2):
+                    candidates.add(pattern_id)
+                    break
         return candidates
 
     def patterns_matching_trace(self, trace_id: str) -> list[StoredBloom]:
@@ -335,7 +338,9 @@ class MergedStorageView:
         provably misses each constituent filter, and none of them need
         be probed.  Survivors (and patterns whose accumulator saturated
         out of the index) are confirmed filter by filter, so the result
-        set is exactly the single backend's.
+        set is exactly the single backend's.  Only survivors are
+        resolved, so a sealed filter of a screened-out pattern never
+        decodes its block.
         """
         digest = h1, h2 = _digest_pair(trace_id)
         candidates = self.prescreen_candidates(trace_id, digest)
@@ -344,25 +349,36 @@ class MergedStorageView:
         return [
             stored
             for shard in self.shards
-            for stored in shard.blooms
-            if stored.topo_pattern_id in candidates
-            and stored.filter.contains_hashed(h1, h2)
+            for stored in shard.blooms.of_patterns(candidates)
+            if stored.filter.contains_hashed(h1, h2)
         ]
 
-    @property
-    def segment_renders(self) -> dict[str, Any]:
-        """The querier's render memo, valid for the current patterns.
+    def _current_memos(self) -> None:
+        """Drop the querier's memos unless they were filled under the
+        current patterns.
 
         Renders resolve through the fan-out over *reachable* shards, so
-        the memo is dropped when any of them stored a pattern change or
-        the reachable set moved — an outage render never serves a
+        the memos are dropped when any of them stored a pattern change
+        or the reachable set moved — an outage render never serves a
         healthy read, nor the reverse.
         """
         token = tuple((id(shard), shard.pattern_version) for shard in self.shards)
         if token != self._render_token:
             self._render_token = token
             self._segment_renders = {}
+            self._segment_orders = {}
+
+    @property
+    def segment_renders(self) -> dict[str, Any]:
+        """The querier's render memo, valid for the current patterns."""
+        self._current_memos()
         return self._segment_renders
+
+    @property
+    def segment_orders(self) -> dict[tuple[str, ...], Any]:
+        """The querier's stitched-order memo, dropped with the renders."""
+        self._current_memos()
+        return self._segment_orders
 
     def has_params(self, trace_id: str) -> bool:
         """True when some shard holds the trace's exact parameters."""

@@ -57,9 +57,11 @@ class StorageEngine:
         self.topo_patterns: dict[str, TopoPattern] = {}
         # Bumped whenever store_pattern_report — the one mutation site of
         # the three dicts above — changes any of them; approximate-segment
-        # renders (a pure function of them) are memoised until it moves.
+        # renders and the stitched order per matched pattern set (pure
+        # functions of them) are memoised until it moves.
         self.pattern_version = 0
         self.segment_renders: dict[str, Any] = {}
+        self.segment_orders: dict[tuple[str, ...], Any] = {}
         self.cold = ColdTier()
         self.blooms: TieredBlooms = TieredBlooms(self.cold)
         # trace_id -> compact param records (see ParsedSpan.compact_record)
@@ -101,6 +103,7 @@ class StorageEngine:
         if changed:
             self.pattern_version += 1
             self.segment_renders = {}
+            self.segment_orders = {}
 
     def store_bloom_report(self, report: BloomReport) -> None:
         """Index a flushed Bloom filter under its topo pattern."""

@@ -23,7 +23,7 @@ Tiering rules:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Container, Iterator
 
 from repro.cold.blocks import BLOOM_KIND, PARAMS_KIND, ColdTier
 
@@ -204,6 +204,15 @@ class TieredBlooms:
         if isinstance(index, slice):
             return [self._resolve(entry) for entry in self._entries[index]]
         return self._resolve(self._entries[index])
+
+    def of_patterns(self, pattern_ids: Container[str]) -> Iterator["StoredBloom"]:
+        """Stored filters of the given topo patterns, in stored order.
+
+        Sealed refs carry their pattern id hot, so a block holding only
+        other patterns' filters is never decoded."""
+        for entry in self._entries:
+            if entry.topo_pattern_id in pattern_ids:
+                yield self._resolve(entry)
 
     def _resolve(self, entry: Any) -> "StoredBloom":
         if isinstance(entry, _SealedBloomRef):

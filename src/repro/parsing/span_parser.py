@@ -816,12 +816,36 @@ def reconstruct_exact_span(pattern: SpanPattern, parsed: ParsedSpan) -> Span:
     Inverse of :meth:`SpanParser.parse`: operates on pattern text alone
     so the backend does not need parser state.
     """
+    record = [
+        parsed.span_id,
+        parsed.parent_id,
+        parsed.node,
+        parsed.pattern_id,
+        parsed.start_time,
+        [parsed.params[key] for key, _, _ in pattern.attributes],
+    ]
+    return span_from_record(parsed.trace_id, record, pattern)
+
+
+def span_from_record(trace_id: str, record: list[Any], pattern: SpanPattern) -> Span:
+    """Rebuild the original span straight from a compact params record.
+
+    The record's positional values (see :meth:`ParsedSpan.compact_record`)
+    are zipped with the pattern's ``reconstruction_plan``, so the read
+    path builds no :class:`ParsedSpan` or params dict per span.  A
+    record whose value count differs from the pattern's attributes
+    raises ``ValueError`` naming the pattern.
+    """
+    span_id, parent_id, node, _, start_time, values = record
     templates, kind, status = pattern.reconstruction_plan
-    params = parsed.params
+    if len(values) != len(templates):
+        raise ValueError(
+            f"params record of span {span_id!r} carries {len(values)} values; "
+            f"span pattern {pattern.pattern_id} has {len(templates)} attributes"
+        )
     attributes: dict[str, Any] = {}
     duration = 0.0
-    for key, template in templates:
-        param = params[key]
+    for (key, template), param in zip(templates, values):
         if template is not None:
             if not isinstance(param, list):
                 raise TypeError(f"string attribute {key!r} carries {type(param)}")
@@ -835,16 +859,16 @@ def reconstruct_exact_span(pattern: SpanPattern, parsed: ParsedSpan) -> Span:
         else:
             attributes[key] = value
     return Span(
-        trace_id=parsed.trace_id,
-        span_id=parsed.span_id,
-        parent_id=parsed.parent_id,
+        trace_id=trace_id,
+        span_id=span_id,
+        parent_id=parent_id,
         name=pattern.name,
         service=pattern.service,
         kind=kind,
-        start_time=parsed.start_time,
+        start_time=start_time,
         duration=duration,
         status=status,
-        node=parsed.node,
+        node=node,
         attributes=attributes,
     )
 

@@ -6,6 +6,13 @@
 * The render memo is dropped exactly when a pattern report changes
   something or the reachable shards move, is bounded by the topo
   library, and never shares ``nodes_reporting`` between results.
+* The stitched-order memo is dropped with the render memo, holds at
+  most one entry per distinct matched pattern set, and still hands
+  every result fresh segments.
+* ``span_from_record`` ≡ the oracle's exact span, and a record whose
+  value count differs from its pattern raises ``ValueError``.
+* A sharded point lookup decodes no sealed block whose pattern the
+  pre-screen ruled out.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import reference_read_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agent.reports import BloomReport, PatternLibraryReport
+from repro.agent.reports import BloomReport, ParamsReport, PatternLibraryReport
 from repro.backend.backend import MintBackend
 from repro.backend.sharded import ShardedBackend, shard_for_key
 from repro.backend.storage import StoredBloom
@@ -25,7 +32,8 @@ from repro.bloom.bloom_filter import BloomFilter, _digest_pair, sized_for_bytes
 from repro.cold.blocks import decode_bloom_payload, encode_bloom_payload
 from repro.elastic.chaos import SHARD_CHAOS_PROFILES
 from repro.framework import MintFramework
-from repro.parsing.span_parser import DURATION_KEY, SpanPattern
+from repro.obs.trace import Observer
+from repro.parsing.span_parser import DURATION_KEY, ParsedSpan, SpanPattern, span_from_record
 from repro.parsing.string_patterns import WILDCARD, StringTemplate, template_from_text
 from repro.parsing.trace_parser import TopoPattern
 from repro.sim.experiment import drive, generate_stream
@@ -336,3 +344,170 @@ class TestRenderMemoBound:
             # ... while the pattern-only render is one shared, read-only object.
             assert len({id(seg.spans) for seg in group}) == 1
         framework.close()
+
+
+# ----------------------------------------------------------------------
+# The stitched-order memo
+# ----------------------------------------------------------------------
+STORES = {
+    "single": MintBackend,
+    "sharded": lambda: ShardedBackend(num_shards=2),
+    # Chaos attaches a roster (its crash starts at 5 s; the clock reads 0).
+    "elastic-roster": lambda: ShardedBackend(
+        num_shards=2, shard_chaos=SHARD_CHAOS_PROFILES["crash"]
+    ),
+}
+
+
+class TestOrderMemoStaleness:
+    @pytest.mark.parametrize("make", list(STORES.values()), ids=list(STORES))
+    def test_dropped_with_the_renders_exactly_when_a_report_changes_something(self, make):
+        backend = make()
+        storage = backend.storage
+        first_host, second_host = two_hosts_on_different_shards()
+        backend.receive(root_report(first_host, upper=10.0))
+        for report in topo_and_bloom_reports(first_host):
+            backend.receive(report)
+        assert rendered(backend) == (["GET /cart"], "(1, 10]")
+        orders, renders = storage.segment_orders, storage.segment_renders
+        assert list(orders) == [(TOPO.pattern_id,)]
+        for report in (  # duplicates and narrower ranges change nothing
+            root_report(first_host, upper=10.0),
+            root_report(first_host, upper=5.0),
+            topo_and_bloom_reports(first_host)[0],
+        ):
+            backend.receive(report)
+            assert rendered(backend) == (["GET /cart"], "(1, 10]")
+            assert storage.segment_orders is orders and storage.segment_renders is renders
+        for report, want in (
+            (root_report(first_host, upper=11.0), (["GET /cart"], "(1, 11]")),
+            (
+                root_report(second_host, upper=50.0, with_child=True),
+                (["GET /cart", "redis.get"], "(1, 50]"),
+            ),
+        ):
+            backend.receive(report)
+            assert storage.segment_orders == {} and storage.segment_renders == {}
+            assert rendered(backend) == want
+            assert list(storage.segment_orders) == [(TOPO.pattern_id,)]
+
+
+def matched_set(storage, trace_id: str) -> tuple[str, ...]:
+    return tuple(sorted({s.topo_pattern_id for s in storage.patterns_matching_trace(trace_id)}))
+
+
+class TestOrderMemoBound:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_entry_per_matched_set_and_fresh_segments(self, shards):
+        workload = build_onlineboutique()
+        stream, _ = generate_stream(workload, 200, abnormal_rate=0.05, seed=3)
+        deployment = Deployment.single() if shards == 1 else Deployment.sharded(shards)
+        framework = MintFramework(deployment=deployment, auto_warmup_traces=40)
+        drive(framework, stream)
+        rng = random.Random(4)
+        ids = [trace.trace_id for _, trace in stream] + ["missing"]
+        queried: set[str] = set()
+        results = []
+        for _ in range(20):
+            point = [rng.choice(ids) for _ in range(50)]
+            batch = rng.choices(ids, k=50)
+            queried.update(point, batch)
+            results.extend(framework.query(trace_id) for trace_id in point)
+            results.extend(framework.query_many(batch))
+        assert len(results) == 2000
+        storage = framework.backend.storage
+        matched_sets = {matched_set(storage, trace_id) for trace_id in queried} - {()}
+        assert 0 < len(storage.segment_orders) <= len(matched_sets)
+        assert set(storage.segment_orders) <= matched_sets
+        distinct = list({id(r): r for r in results}.values())  # cursors repeat objects
+        partial = [r for r in distinct if r.approximate is not None]
+        assert any(len(r.approximate.segments) > 1 for r in partial)
+        segments = [seg for r in partial for seg in r.approximate.segments]
+        assert len({id(seg) for seg in segments}) == len(segments)
+        assert len({id(seg.nodes_reporting) for seg in segments}) == len(segments)
+        framework.close()
+
+
+# ----------------------------------------------------------------------
+# Exact spans straight from compact records
+# ----------------------------------------------------------------------
+RECORD = ["s1", None, "host-a", ROOT.pattern_id, 12.5, [3, 41.5]]
+
+
+class TestSpanFromRecord:
+    def test_exact_length_equals_the_oracle(self):
+        parsed = ParsedSpan.from_compact_record(TRACE_ID, RECORD, ROOT)
+        want = reference_read_path.reconstruct_exact_span(ROOT, parsed)
+        got = span_from_record(TRACE_ID, RECORD, ROOT)
+        assert got == want
+        assert (got.duration, got.attributes, got.start_time) == (41.5, {"items": 3.0}, 12.5)
+
+    @pytest.mark.parametrize("values", [[3], [3, 41.5, 7]], ids=["short", "long"])
+    def test_wrong_value_count_raises_naming_the_pattern(self, values):
+        record = RECORD[:5] + [values]
+        with pytest.raises(ValueError, match=ROOT.pattern_id):
+            span_from_record(TRACE_ID, record, ROOT)
+        backend = MintBackend()
+        backend.receive(root_report("host-a", upper=10.0))
+        backend.receive(ParamsReport(node="host-a", trace_id=TRACE_ID, records=[record]))
+        message = f"{len(values)} values; span pattern {ROOT.pattern_id}"
+        with pytest.raises(ValueError, match=message):
+            backend.query(TRACE_ID)
+
+    @pytest.mark.parametrize(
+        "pattern, values, message",
+        [
+            (ROOT, [[3], 41.5], "numeric attribute 'items' carries a list"),
+            (CHILD, ["42"], "string attribute 'key' carries"),
+        ],
+    )
+    def test_kind_mismatch_raises_type_error(self, pattern, values, message):
+        record = ["s1", None, "host-a", pattern.pattern_id, 1.0, values]
+        with pytest.raises(TypeError, match=message):
+            span_from_record(TRACE_ID, record, pattern)
+
+
+# ----------------------------------------------------------------------
+# Pre-screened-out sealed blocks stay cold
+# ----------------------------------------------------------------------
+OTHER = TopoPattern(
+    roots=((CHILD.pattern_id, ()),), entry_ops=(("redis", "get"),), exit_ops=()
+)
+OTHER_TRACE_ID = "8" * 32
+
+
+class TestPrescreenedOutBlocksStayCold:
+    def test_a_point_lookup_decodes_only_candidate_blocks(self):
+        backend = ShardedBackend(num_shards=2)
+        host = "host-a"
+        topo_report, bloom_report = topo_and_bloom_reports(host)
+        other = sized_for_bytes(4096)
+        other.add(OTHER_TRACE_ID)
+        for report in (
+            root_report(host, upper=10.0, with_child=True),
+            topo_report,
+            PatternLibraryReport(node=host, topo_patterns=[OTHER.to_dict()]),
+            bloom_report,
+            BloomReport(
+                node=host, topo_pattern_id=OTHER.pattern_id, payload=other.to_bytes(), inserted=1
+            ),
+        ):
+            backend.receive(report)
+        engine = backend.shards[backend.shard_for(host)]
+        observer = Observer()
+        engine.cold.bind_observer(observer)
+        cache_hits = observer.counter("mint_cold_cache_hits", plane="cold")
+        engine.seal_bloom_block([1])  # OTHER's filter goes cold
+        assert backend.merged.prescreen_candidates(TRACE_ID) == {TOPO.pattern_id}
+        for _ in range(3):
+            result = backend.query(TRACE_ID)
+            assert [seg.topo_pattern_id for seg in result.approximate.segments] == [
+                TOPO.pattern_id
+            ]
+        assert (engine.cold.blocks_decoded, cache_hits.value) == (0, 0)
+        # A lookup the pre-screen lets through still reads the sealed filter.
+        result = backend.query(OTHER_TRACE_ID)
+        assert [seg.topo_pattern_id for seg in result.approximate.segments] == [
+            OTHER.pattern_id
+        ]
+        assert engine.cold.blocks_decoded == 1
