@@ -13,10 +13,10 @@ and cross-checked:
   reference: same status, same reconstructed spans, same approximate
   segments, for every id, on every deployment topology;
 * **batch** — one ``query_many`` cursor over the whole stream, which
-  must yield the identical result sequence while amortising the
-  per-shard filter scans (the throughput gate: batch >= looped point
-  lookups, with the Bloom pre-screen verifiably pruning shard probes
-  on sharded runs).
+  must yield the identical result sequence through the same
+  pre-screened lookup, serving repeated ids from its plan memo (the
+  throughput gate: batch >= looped point lookups, with the Bloom
+  pre-screen verifiably pruning shard probes on sharded runs).
 
 Byte tables (fig02/fig11) are read after the query sweeps and checked
 identical across deployments — querying must never move a meter.

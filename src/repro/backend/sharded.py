@@ -236,6 +236,8 @@ class MergedStorageView:
         self._segment_renders: dict[str, Any] = {}
         self._segment_orders: dict[tuple[str, ...], Any] = {}
         self._render_token: tuple = ()  # what the memos were filled under
+        self.filters_probed = 0
+        self.filters_pruned = 0
 
     # ------------------------------------------------------------------
     # Incremental merge state (fed by ShardedBackend.receive)
@@ -315,9 +317,8 @@ class MergedStorageView:
         The public face of the negative pre-screen: patterns whose
         accumulator saturated out of the index are unconditional
         candidates, the rest are candidates only when some merged
-        accumulator (any geometry) reports the trace.  The query
-        planner pushes this down per batch — a pattern absent here
-        needs no probing on any shard.  ``digest`` is the caller's
+        accumulator (any geometry) reports the trace.  A pattern absent
+        here needs no probing on any shard.  ``digest`` is the caller's
         ``_digest_pair(trace_id)`` when it goes on to probe the shards
         with it (one digest per lookup).
         """
@@ -340,18 +341,19 @@ class MergedStorageView:
         out of the index) are confirmed filter by filter, so the result
         set is exactly the single backend's.  Only survivors are
         resolved, so a sealed filter of a screened-out pattern never
-        decodes its block.
+        decodes its block.  Every lookup adds the filters it probed to
+        :attr:`filters_probed` and the rest to :attr:`filters_pruned`.
         """
         digest = h1, h2 = _digest_pair(trace_id)
         candidates = self.prescreen_candidates(trace_id, digest)
-        if not candidates:
-            return []
-        return [
-            stored
-            for shard in self.shards
-            for stored in shard.blooms.of_patterns(candidates)
-            if stored.filter.contains_hashed(h1, h2)
-        ]
+        probed: list[StoredBloom] = []
+        stored_filters = 0
+        for shard in self.shards:
+            probed += shard.blooms.of_patterns(candidates)
+            stored_filters += len(shard.blooms)
+        self.filters_probed += len(probed)
+        self.filters_pruned += stored_filters - len(probed)
+        return [stored for stored in probed if stored.filter.contains_hashed(h1, h2)]
 
     def _current_memos(self) -> None:
         """Drop the querier's memos unless they were filled under the
@@ -387,11 +389,6 @@ class MergedStorageView:
     def mark_sampled(self, trace_id: str) -> None:
         """Record a sampling decision that has no params report (yet)."""
         self._extra_sampled.add(trace_id)
-
-    @property
-    def blooms(self) -> list[StoredBloom]:
-        """Every stored filter, shard-major (for introspection)."""
-        return [stored for shard in self.shards for stored in shard.blooms]
 
     # ------------------------------------------------------------------
     # Accounting

@@ -67,6 +67,10 @@ class StorageEngine:
         # trace_id -> compact param records (see ParsedSpan.compact_record)
         self.params: TieredParams = TieredParams(self.cold)
         self.sampled_trace_ids: set[str] = set()
+        # Stored filters this engine's lookups probed; it has no
+        # pre-screen, so it never prunes one.
+        self.filters_probed = 0
+        self.filters_pruned = 0
         self._pattern_bytes = 0
         self._bloom_bytes = 0
         self._params_bytes = 0
@@ -246,6 +250,7 @@ class StorageEngine:
     def patterns_matching_trace(self, trace_id: str) -> list[StoredBloom]:
         """All stored Bloom filters that (probably) contain ``trace_id``."""
         h1, h2 = _digest_pair(trace_id)
+        self.filters_probed += len(self.blooms)
         return [b for b in self.blooms if b.filter.contains_hashed(h1, h2)]
 
     def has_params(self, trace_id: str) -> bool:

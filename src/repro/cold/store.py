@@ -2,7 +2,7 @@
 
 :class:`TieredParams` and :class:`TieredBlooms` are drop-ins for the
 ``StorageEngine``'s ``params`` dict and ``blooms`` list.  Every read
-path the queriers, merge layer, planner and elastic plane use keeps
+path the queriers, merge layer and elastic plane use keeps
 working unchanged; sealed entries resolve lazily through the
 :class:`~repro.cold.blocks.ColdTier`'s block index.
 
@@ -23,7 +23,8 @@ Tiering rules:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Container, Iterator
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.cold.blocks import BLOOM_KIND, PARAMS_KIND, ColdTier
 
@@ -180,39 +181,50 @@ class TieredBlooms:
     Entries are hot :class:`StoredBloom` objects or sealed refs in the
     original append positions; resolution decodes the ref's block
     through the tier's LRU cache, so a probe sweep over a sealed run of
-    filters inflates each block once.
+    filters inflates each block once.  A topo pattern -> positions
+    index lets a lookup visit only its candidate patterns' entries;
+    sealing and promotion swap entries in place, so only ``append`` and
+    ``remove_node`` move it.
     """
 
     def __init__(self, tier: ColdTier) -> None:
         self._tier = tier
         self._entries: list[Any] = []
+        self._positions: dict[str, list[int]] = {}
 
     # ------------------------------------------------------------------
     # List protocol
     # ------------------------------------------------------------------
     def append(self, stored: "StoredBloom") -> None:
+        self._positions.setdefault(stored.topo_pattern_id, []).append(len(self._entries))
         self._entries.append(stored)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator["StoredBloom"]:
-        for entry in self._entries:
-            yield self._resolve(entry)
+        return map(self._resolve, self._entries)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self._resolve(entry) for entry in self._entries[index]]
         return self._resolve(self._entries[index])
 
-    def of_patterns(self, pattern_ids: Container[str]) -> Iterator["StoredBloom"]:
+    def of_patterns(self, pattern_ids: Iterable[str]) -> list["StoredBloom"]:
         """Stored filters of the given topo patterns, in stored order.
 
-        Sealed refs carry their pattern id hot, so a block holding only
-        other patterns' filters is never decoded."""
-        for entry in self._entries:
-            if entry.topo_pattern_id in pattern_ids:
-                yield self._resolve(entry)
+        Only the patterns' indexed positions are visited, so a block
+        holding only other patterns' filters is never decoded."""
+        index = self._positions
+        groups = [index[pattern_id] for pattern_id in index.keys() & pattern_ids]
+        positions = groups[0] if len(groups) == 1 else sorted(chain.from_iterable(groups))
+        entries, resolve = self._entries, self._resolve
+        return [resolve(entries[position]) for position in positions]
+
+    def nodes(self) -> Iterator[str]:
+        """Each stored filter's node, in stored order — read off the
+        hot entry, so sealed filters are never decoded."""
+        return (entry.node for entry in self._entries)
 
     def _resolve(self, entry: Any) -> "StoredBloom":
         if isinstance(entry, _SealedBloomRef):
@@ -283,4 +295,7 @@ class TieredBlooms:
                 )
         moved = [entry for entry in self._entries if entry.node == host]
         self._entries = [entry for entry in self._entries if entry.node != host]
+        self._positions = {}
+        for position, entry in enumerate(self._entries):
+            self._positions.setdefault(entry.topo_pattern_id, []).append(position)
         return moved

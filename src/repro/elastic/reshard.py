@@ -211,11 +211,10 @@ def placement_violations(backend: ShardedBackend) -> list[str]:
         for collector in backend._collectors
     }
     for index, engine in enumerate(backend.shards):
-        for stored in engine.blooms:
-            if owners.get(stored.node, index) != index:
+        for node in engine.blooms.nodes():
+            if owners.get(node, index) != index:
                 violations.append(
-                    f"bloom for {stored.node} on shard {index}, "
-                    f"owner is {owners[stored.node]}"
+                    f"bloom for {node} on shard {index}, owner is {owners[node]}"
                 )
         for trace_id, bucket in engine.params.items():
             for record in bucket:

@@ -282,7 +282,7 @@ class MintFramework(TracingFramework):
         """Run one declarative spec through the backend's planner.
 
         This overrides the base engine with the real thing: shard-aware
-        plans, the OR'd Bloom pre-screen pushed down per batch, and the
+        plans, the OR'd Bloom pre-screen pushed down per lookup, and the
         retroactive parameter pull when ``spec.pull_params`` is set.
         """
         self._quiesce()
@@ -298,7 +298,7 @@ class MintFramework(TracingFramework):
         return self.backend.query(trace_id)
 
     def query_many(self, trace_ids: Iterable[str]) -> QueryCursor:
-        """Batch lookup over one amortised shard-fanout plan."""
+        """Batch lookup: one plan over every id, repeats served from its memo."""
         self._quiesce()
         return self.backend.query_many(trace_ids)
 

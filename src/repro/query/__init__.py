@@ -7,10 +7,11 @@ the Mint framework and all baselines:
   lookup, a batch of trace ids, or a predicate query (service,
   operation, error status, time window, topo-pattern id), plus options
   (retroactive parameter pull, result limit);
-* :class:`QueryPlanner` — compiles a spec into per-shard plans that
-  push the OR'd Bloom negative pre-screen and the predicate filters
-  down to each shard, amortising the per-shard filter scans across a
-  whole batch;
+* :class:`QueryPlanner` — compiles a spec into a plan that runs the
+  reference querier over the store, one ``patterns_matching_trace``
+  lookup per id (the merged view pushes the OR'd Bloom negative
+  pre-screen down to every shard), with predicate filters judged on
+  each reconstruction and repeated ids served from a per-plan memo;
 * :class:`QueryCursor` — a streaming iterator of typed results, so a
   batch over thousands of ids never materialises the full result set;
 * :class:`QueryResult` / :class:`QueryStatus` — the one result model:
@@ -25,8 +26,9 @@ Correctness contract (the bit-identity gate,
 compiled through the planner returns exactly the reference
 :class:`~repro.backend.querier.Querier` answer — same status, same
 reconstructed spans, same approximate segments — for every deployment
-topology, and batch execution is pure amortisation: it may skip probes
-the pre-screen proves fruitless, never change an answer.
+topology, and a batch yields exactly the looped point lookups' answers:
+the pre-screen may skip probes it proves fruitless, never change an
+answer.
 """
 
 from repro.query.cursor import QueryCursor

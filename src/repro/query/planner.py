@@ -1,54 +1,41 @@
-"""Spec compilation: batched shard-fanout plans with Bloom pushdown.
+"""Spec compilation: one plan shape for point, batch and predicate specs.
 
 The planner turns a :class:`~repro.query.spec.QuerySpec` into an
 executable plan over a StorageEngine-shaped store (the single engine,
-or the sharded deployment's merged view).  Two pushdowns happen here:
-
-* **Bloom negative pre-screen.**  When the store exposes the merged
-  OR'd accumulators (``prescreen_candidates`` — the sharded merge
-  layer), each trace id is screened once against the per-pattern
-  accumulators; patterns the pre-screen rules out are never probed on
-  any shard.  A miss in an OR'd accumulator proves a miss in every
-  constituent filter, so pruning can only skip fruitless probes —
-  answers are bit-identical to probing everything (the PR 2 contract,
-  re-used here as a *batch* pushdown).
-* **Amortised per-shard scans.**  A batch builds one per-pattern index
-  over every shard's stored filters (one pass over ``storage.blooms``),
-  so each of the batch's ids touches only its candidate patterns'
-  filters instead of rescanning the whole filter list per query — the
-  reason ``query_many`` beats looped point lookups.  Point lookups
-  skip the index build and read the live store exactly like the
-  reference querier always has.
-
-Reconstruction itself is *not* re-implemented: the plan points the
-reference :class:`~repro.backend.querier.Querier` at a view whose only
-override is the amortised/pushed-down ``patterns_matching_trace``.
-Same code, same answers — bit-identity by construction, which is what
+or the sharded deployment's merged view).  Every plan runs the
+reference :class:`~repro.backend.querier.Querier` over that store, so
+each id costs exactly one ``patterns_matching_trace`` lookup: on the
+merged view that lookup pushes the OR'd Bloom accumulators down as a
+negative pre-screen and confirms survivors filter by filter through the
+shards' per-pattern position index — answers are bit-identical to
+probing everything (the PR 2 contract), which is what
 ``run.py query --check`` pins across deployments.
+
+What a batch adds over looped point lookups is per-plan memoisation of
+repeated ids, and the probe counters each lookup leaves on the store
+folded into the plan's :class:`PlanStats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import Any, Callable, Iterator
 
-from repro.bloom.bloom_filter import _digest_pair
 from repro.query.result import QueryResult, QueryStatus
 from repro.query.spec import QuerySpec, matches_result
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.backend.storage import StoredBloom
 
 
 @dataclass
 class PlanStats:
     """Execution counters of one plan (live while the cursor drains).
 
-    ``filters_probed`` / ``filters_pruned`` partition the stored-filter
-    probes a naive per-id scan would make: probed ones actually tested
-    membership, pruned ones were skipped because the Bloom pre-screen
-    (or the batch index) proved them fruitless.  Nonzero pruning on
-    sharded runs is asserted by the query bench gate.
+    ``filters_probed`` / ``filters_pruned`` are the stored-filter
+    counts the plan's lookups left on the store: probed filters were
+    tested for membership, pruned ones are the rest of what a
+    probe-everything scan would have touched, skipped because the
+    Bloom pre-screen proved them fruitless.  Every plan counts, point
+    lookups included; nonzero pruning on sharded runs is asserted by
+    the query bench gate.
     """
 
     candidates: int = 0
@@ -71,58 +58,6 @@ class PlanStats:
         }
 
 
-class _PlannedView:
-    """A storage view with the batch's filter index pushed underneath.
-
-    Everything except ``patterns_matching_trace`` delegates to the
-    wrapped store (params reads stay live), so the reference querier
-    runs unchanged on top.  Filter membership is answered from the
-    per-pattern index snapshot taken at plan time — queries execute
-    against a settled store (after ``finalize``), matching the
-    semantics of the historical one-shot lookups.
-    """
-
-    def __init__(self, storage: Any, stats: PlanStats) -> None:
-        self._storage = storage
-        self.stats = stats
-        index: dict[str, list["StoredBloom"]] = {}
-        for stored in storage.blooms:
-            index.setdefault(stored.topo_pattern_id, []).append(stored)
-        self._index = index
-        self._total_filters = sum(len(group) for group in index.values())
-        # The sharded merge layer's OR'd accumulators; None on a single
-        # engine, whose semantics are probe-everything.
-        self._prescreen = getattr(storage, "prescreen_candidates", None)
-
-    def patterns_matching_trace(self, trace_id: str) -> list["StoredBloom"]:
-        # One digest serves the pre-screen and every shard's filters.
-        digest = h1, h2 = _digest_pair(trace_id)
-        if self._prescreen is not None:
-            candidates = self._prescreen(trace_id, digest)
-        else:
-            candidates = self._index.keys()
-        matched: list["StoredBloom"] = []
-        probed = 0
-        for pattern_id in candidates:
-            for stored in self._index.get(pattern_id, ()):
-                probed += 1
-                if stored.filter.contains_hashed(h1, h2):
-                    matched.append(stored)
-        self.stats.filters_probed += probed
-        self.stats.filters_pruned += self._total_filters - probed
-        return matched
-
-    def pattern_member(self, trace_id: str, pattern_id: str) -> bool:
-        """Confirmed membership of a trace in one topo pattern."""
-        group = self._index.get(pattern_id, ())
-        self.stats.filters_probed += len(group)
-        h1, h2 = _digest_pair(trace_id)
-        return any(stored.filter.contains_hashed(h1, h2) for stored in group)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._storage, name)
-
-
 @dataclass
 class QueryPlan:
     """A compiled spec: candidate ids + the querier to run them through.
@@ -136,9 +71,8 @@ class QueryPlan:
     """
 
     spec: QuerySpec
-    querier: Any  # reference Querier over the (possibly planned) view
+    querier: Any  # reference Querier over the store
     stats: PlanStats
-    view: _PlannedView | None = None
     upgrade: Callable[[QueryResult], QueryResult] | None = None
 
     def candidate_ids(self) -> tuple[str, ...]:
@@ -155,11 +89,21 @@ class QueryPlan:
             return tuple(sorted(self.querier.storage.params))
         return ()
 
+    def _counted(self, lookup: Callable[[str], Any], trace_id: str) -> Any:
+        """Run one store lookup, adding the filters it probed and
+        pruned on the store to this plan's counters."""
+        storage = self.querier.storage
+        probed, pruned = storage.filters_probed, storage.filters_pruned
+        answer = lookup(trace_id)
+        self.stats.filters_probed += storage.filters_probed - probed
+        self.stats.filters_pruned += storage.filters_pruned - pruned
+        return answer
+
     def _pattern_member(self, trace_id: str, pattern_id: str) -> bool:
-        # Only reachable during predicate evaluation, and the planner
-        # always builds an indexed view for predicate specs.
-        assert self.view is not None
-        return self.view.pattern_member(trace_id, pattern_id)
+        """Confirmed membership of a trace in one topo pattern: the
+        pattern is among the trace's matched stored filters."""
+        matches = self._counted(self.querier.storage.patterns_matching_trace, trace_id)
+        return any(stored.topo_pattern_id == pattern_id for stored in matches)
 
     def results(self) -> Iterator[QueryResult]:
         """Lazily execute the plan (one reconstruction per ``next()``).
@@ -177,9 +121,7 @@ class QueryPlan:
         exactly as looped lookups would.
         """
         spec = self.spec
-        memo: dict[str, QueryResult] | None = None
-        if self.view is not None and not spec.pull_params:
-            memo = {}
+        memo: dict[str, QueryResult] | None = None if spec.pull_params else {}
         for trace_id in self.candidate_ids():
             if spec.limit is not None and self.stats.yielded >= spec.limit:
                 return
@@ -188,7 +130,7 @@ class QueryPlan:
                 self.stats.cache_hits += 1
                 result = memo[trace_id]
             else:
-                result = self.querier.query(trace_id)
+                result = self._counted(self.querier.query, trace_id)
                 if (
                     self.upgrade is not None
                     and result.status is QueryStatus.PARTIAL
@@ -213,18 +155,7 @@ class QueryPlanner:
         self.storage = storage
 
     def plan(self, spec: QuerySpec) -> QueryPlan:
-        """Compile one spec.
-
-        Batches and predicate sweeps pay one index build and amortise
-        it across every candidate; a bare point lookup runs against the
-        live store with zero setup, exactly like the historical
-        ``Querier.query`` path.
-        """
+        """Compile one spec: the reference querier over the live store."""
         from repro.backend.querier import Querier
 
-        stats = PlanStats()
-        batched = len(spec.trace_ids) > 1 or spec.has_predicates
-        if batched:
-            view = _PlannedView(self.storage, stats)
-            return QueryPlan(spec, Querier(view), stats, view=view)
-        return QueryPlan(spec, Querier(self.storage), stats)
+        return QueryPlan(spec, Querier(self.storage), PlanStats())

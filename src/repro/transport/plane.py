@@ -214,11 +214,11 @@ class BackendPlane(abc.ABC):
     def execute(self, spec: QuerySpec) -> QueryCursor:
         """Compile and run one :class:`QuerySpec` over this topology.
 
-        The planner pushes the Bloom pre-screen and predicate filters
-        down to the storage view (per-shard filter index, amortised
-        across the batch); this layer contributes the one thing only
-        the plane can do — the retroactive parameter pull (the 'Query
-        Trace ID' arrow into sampling in paper Fig. 9): with
+        Every plan — point, batch or predicate — runs the reference
+        querier over this plane's store, whose one lookup pushes the
+        Bloom pre-screen down to the shards; this layer contributes the
+        one thing only the plane can do — the retroactive parameter
+        pull (the 'Query Trace ID' arrow into sampling in paper Fig. 9): with
         ``spec.pull_params``, a partial result asks every collector to
         upload the trace's parameters if still buffered, upgrading the
         answer to exact when the buffers cooperate.  Execution is
@@ -285,9 +285,7 @@ class BackendPlane(abc.ABC):
             return result
         # A networked transport may only have *queued* the pulled
         # uploads; flush them into storage before re-querying, or the
-        # upgrade-to-exact contract silently breaks.  The re-query runs
-        # against the live store (not the plan's snapshot view) because
-        # the pull just changed it.
+        # upgrade-to-exact contract silently breaks.
         if self.flush_transport is not None:
             self.flush_transport()
         self.storage.sampled_trace_ids.add(trace_id)

@@ -36,7 +36,6 @@ from repro.parsing.string_patterns import (
     template_from_text,
 )
 from repro.parsing.trace_parser import TopoNode, TopoPattern
-from repro.query.planner import _PlannedView
 from repro.query.result import ApproximateSegment, ApproximateTrace
 
 
@@ -155,32 +154,6 @@ def merged_patterns_matching_trace(
         if stored.topo_pattern_id in candidates
         and bloom_contains(stored.filter, trace_id)
     ]
-
-
-def planned_patterns_matching_trace(
-    self: _PlannedView, trace_id: str
-) -> list[StoredBloom]:
-    if self._prescreen is not None:
-        candidates = merged_prescreen_candidates(self._storage, trace_id)
-    else:
-        candidates = self._index.keys()
-    matched: list[StoredBloom] = []
-    probed = 0
-    for pattern_id in candidates:
-        for stored in self._index.get(pattern_id, ()):
-            probed += 1
-            if bloom_contains(stored.filter, trace_id):
-                matched.append(stored)
-    self.stats.filters_probed += probed
-    self.stats.filters_pruned += self._total_filters - probed
-    return matched
-
-
-def planned_pattern_member(self: _PlannedView, trace_id: str, pattern_id: str) -> bool:
-    """Confirmed membership of a trace in one topo pattern."""
-    group = self._index.get(pattern_id, ())
-    self.stats.filters_probed += len(group)
-    return any(bloom_contains(stored.filter, trace_id) for stored in group)
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +288,5 @@ def install(monkeypatch) -> None:
     monkeypatch.setattr(
         MergedStorageView, "patterns_matching_trace", merged_patterns_matching_trace
     )
-    monkeypatch.setattr(_PlannedView, "patterns_matching_trace", planned_patterns_matching_trace)
-    monkeypatch.setattr(_PlannedView, "pattern_member", planned_pattern_member)
     monkeypatch.setattr(Querier, "_reconstruct_exact", _reconstruct_exact)
     monkeypatch.setattr(Querier, "_reconstruct_approximate", _reconstruct_approximate)

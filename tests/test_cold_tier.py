@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +21,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.agent.reports import BloomReport
+from repro.backend.sharded import ShardedBackend
 from repro.backend.storage import StorageEngine, StoredBloom
-from repro.bloom.bloom_filter import BloomFilter
+from repro.bloom.bloom_filter import BloomFilter, sized_for_bytes
 from repro.cold import (
     ColdPolicy,
     ColdReadError,
@@ -298,6 +301,57 @@ class TestTieredBlooms:
         moved = store.remove_node("node-0")
         assert [b.node for b in moved] == ["node-0", "node-0"]
         assert [b.node for b in store] == ["node-1"]
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["single", "sharded-2"])
+    def test_pattern_index_equals_a_linear_scan(self, shards):
+        rng = random.Random(shards)
+        hosts = [f"host-{i}" for i in range(4)]
+        patterns = [f"tp-{i}" for i in range(4)]
+        id_sets = [
+            {pattern for bit, pattern in enumerate(patterns) if mask >> bit & 1}
+            for mask in range(1 << len(patterns))
+        ]
+        if shards == 1:
+            engines = [StorageEngine(bloom_buffer_bytes=64)]
+            receive = engines[0].store_bloom_report
+        else:
+            backend = ShardedBackend(num_shards=shards, bloom_buffer_bytes=64)
+            engines, receive = backend.shards, backend.receive
+
+        def view(stored):
+            return stored.node, stored.topo_pattern_id, stored.filter.to_bytes()
+
+        sealed_checks = 0
+        for step in range(300):
+            target = rng.choice(engines)
+            op = rng.randrange(6)
+            hot = target.blooms.hot_positions()
+            sealed = target.cold.block_ids(BLOOM_KIND)
+            if op == 1 and hot:
+                target.seal_bloom_block(sorted(rng.sample(hot, rng.randint(1, len(hot)))))
+            elif op == 2 and sealed:
+                target.blooms.promote_block(rng.choice(sealed))
+            elif op == 3:
+                target.blooms.promote_host(rng.choice(hosts))
+            elif op == 4:
+                target.evict_host(rng.choice(hosts))
+            else:
+                filt = sized_for_bytes(64)
+                filt.add(f"{step:032x}")
+                receive(
+                    BloomReport(
+                        node=rng.choice(hosts),
+                        topo_pattern_id=rng.choice(patterns),
+                        payload=filt.to_bytes(),
+                        inserted=1,
+                    )
+                )
+            for engine in engines:
+                sealed_checks += engine.blooms.sealed_count() > 0
+                for ids in id_sets:
+                    want = [view(e) for e in engine.blooms if e.topo_pattern_id in ids]
+                    assert [view(e) for e in engine.blooms.of_patterns(ids)] == want
+        assert sealed_checks > 50
 
 
 class TestCompactEngine:

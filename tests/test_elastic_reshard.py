@@ -15,6 +15,7 @@ from repro.agent.reports import BloomReport, ParamsReport
 from repro.backend.backend import MintBackend
 from repro.backend.sharded import shard_for_key
 from repro.backend.storage import StorageEngine
+from repro.cold import ColdPolicy
 from repro.elastic import ReshardCoordinator, placement_violations
 from repro.elastic.chaos import SHARD_CHAOS_PROFILES
 from repro.framework import MintFramework
@@ -227,6 +228,20 @@ class TestReshardCoordinator:
         assert not any(b.node == move.host for b in source.blooms)
         assert coordinator.stats.bloom_reports >= 1
         assert placement_violations(framework.backend) == []
+
+    def test_placement_audit_decodes_no_sealed_bloom_block(self):
+        # Sealed refs keep their node hot so placement scans never
+        # decode: an audit over sealed filters must leave every
+        # engine's decode counter where it was.
+        framework = MintFramework(deployment=Deployment.sharded(2))
+        stream, _ = generate_stream(build_onlineboutique(), 300, 0.1, seed=9)
+        framework.warm_up([trace for _, trace in stream[:60]])
+        drive(framework, stream[60:])
+        framework.compact(ColdPolicy(keep_hot_traces=len(stream), keep_hot_blooms=0))
+        assert framework.cold_stats()["sealed_bloom_filters"] > 0
+        assert placement_violations(framework.backend) == []
+        assert [engine.cold.blocks_decoded for engine in framework.backend.shards] == [0, 0]
+        framework.close()
 
     def test_reshard_without_a_target_is_an_error(self):
         framework = MintFramework(deployment=Deployment.sharded(2), auto_warmup_traces=5)

@@ -11,8 +11,8 @@
   every result fresh segments.
 * ``span_from_record`` ≡ the oracle's exact span, and a record whose
   value count differs from its pattern raises ``ValueError``.
-* A sharded point lookup decodes no sealed block whose pattern the
-  pre-screen ruled out.
+* A sharded point, batch or predicate lookup decodes no sealed block
+  whose pattern the pre-screen ruled out.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.obs.trace import Observer
 from repro.parsing.span_parser import DURATION_KEY, ParsedSpan, SpanPattern, span_from_record
 from repro.parsing.string_patterns import WILDCARD, StringTemplate, template_from_text
 from repro.parsing.trace_parser import TopoPattern
+from repro.query import QuerySpec
 from repro.sim.experiment import drive, generate_stream
 from repro.transport.deployment import Deployment
 from repro.workloads import build_onlineboutique
@@ -499,8 +500,12 @@ class TestPrescreenedOutBlocksStayCold:
         cache_hits = observer.counter("mint_cold_cache_hits", plane="cold")
         engine.seal_bloom_block([1])  # OTHER's filter goes cold
         assert backend.merged.prescreen_candidates(TRACE_ID) == {TOPO.pattern_id}
-        for _ in range(3):
-            result = backend.query(TRACE_ID)
+        # Point, batch and predicate plans share one lookup.
+        results = [backend.query(TRACE_ID) for _ in range(3)]
+        results += backend.query_many([TRACE_ID, TRACE_ID]).all()
+        results += backend.execute(QuerySpec.where(candidates=[TRACE_ID], service="cart")).all()
+        assert len(results) == 6
+        for result in results:
             assert [seg.topo_pattern_id for seg in result.approximate.segments] == [
                 TOPO.pattern_id
             ]
