@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.agent.reports import BloomReport, PatternLibraryReport, Report
 from repro.backend.querier import Querier
 from repro.backend.storage import StorageEngine, StoredBloom
-from repro.bloom.bloom_filter import BloomFilter, _digest_pair
+from repro.bloom.bloom_filter import BloomFilter, _digest_pair, entries_containing
 from repro.model.encoding import encoded_size
 from repro.parsing.span_parser import SpanPattern
 from repro.parsing.trace_parser import TopoPattern
@@ -228,6 +228,10 @@ class MergedStorageView:
         self._seen_topo_pattern_ids: set[str] = set()
         # topo_pattern_id -> geometry -> OR of every reported filter.
         self._merged_blooms: dict[str, dict[tuple[int, int], BloomFilter]] = {}
+        # The same accumulators as one flat list of node-less entries,
+        # the pre-screen's probe input; rebuilt only when an accumulator
+        # is added or dropped.
+        self._accumulators: list[StoredBloom] = []
         # Patterns whose accumulator saturated past usefulness: treated
         # as unconditional candidates (see _absorb_filter).
         self._prescreen_saturated: set[str] = set()
@@ -296,7 +300,8 @@ class MergedStorageView:
             return
         groups = self._merged_blooms.setdefault(pattern_id, {})
         accumulator = groups.get(filt.geometry())
-        if accumulator is None:
+        reindex = accumulator is None
+        if reindex:
             accumulator = BloomFilter(
                 filt.expected_insertions, filt.false_positive_probability
             )
@@ -305,6 +310,13 @@ class MergedStorageView:
         if accumulator.saturation > self._PRESCREEN_MAX_SATURATION:
             self._prescreen_saturated.add(pattern_id)
             del self._merged_blooms[pattern_id]
+            reindex = True
+        if reindex:
+            self._accumulators = [
+                StoredBloom("", merged_id, merged)
+                for merged_id, by_geometry in self._merged_blooms.items()
+                for merged in by_geometry.values()
+            ]
 
     # ------------------------------------------------------------------
     # StorageEngine-shaped lookups
@@ -323,13 +335,8 @@ class MergedStorageView:
         with it (one digest per lookup).
         """
         h1, h2 = digest or _digest_pair(trace_id)
-        candidates: set[str] = set(self._prescreen_saturated)
-        for pattern_id, groups in self._merged_blooms.items():
-            for merged in groups.values():
-                if merged.contains_hashed(h1, h2):
-                    candidates.add(pattern_id)
-                    break
-        return candidates
+        matches = entries_containing(self._accumulators, h1, h2)
+        return self._prescreen_saturated.union(entry.topo_pattern_id for entry in matches)
 
     def patterns_matching_trace(self, trace_id: str) -> list[StoredBloom]:
         """All stored filters (across shards) that may contain the trace.
@@ -338,13 +345,14 @@ class MergedStorageView:
         ``trace_id`` misses every merged accumulator of a pattern it
         provably misses each constituent filter, and none of them need
         be probed.  Survivors (and patterns whose accumulator saturated
-        out of the index) are confirmed filter by filter, so the result
-        set is exactly the single backend's.  Only survivors are
-        resolved, so a sealed filter of a screened-out pattern never
-        decodes its block.  Every lookup adds the filters it probed to
-        :attr:`filters_probed` and the rest to :attr:`filters_pruned`.
+        out of the index) are confirmed against each of their filters
+        in one probe pass, so the result set is exactly the single
+        backend's.  Only survivors are resolved, so a sealed filter of
+        a screened-out pattern never decodes its block.  Every lookup
+        adds the filters it probed to :attr:`filters_probed` and the
+        rest to :attr:`filters_pruned`.
         """
-        digest = h1, h2 = _digest_pair(trace_id)
+        digest = _digest_pair(trace_id)
         candidates = self.prescreen_candidates(trace_id, digest)
         probed: list[StoredBloom] = []
         stored_filters = 0
@@ -353,7 +361,7 @@ class MergedStorageView:
             stored_filters += len(shard.blooms)
         self.filters_probed += len(probed)
         self.filters_pruned += stored_filters - len(probed)
-        return [stored for stored in probed if stored.filter.contains_hashed(h1, h2)]
+        return entries_containing(probed, *digest)
 
     def _current_memos(self) -> None:
         """Drop the querier's memos unless they were filled under the

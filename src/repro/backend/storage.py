@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.agent.reports import BloomReport, ParamsReport, PatternLibraryReport
-from repro.bloom.bloom_filter import BloomFilter, _digest_pair, sized_for_bytes
+from repro.bloom.bloom_filter import BloomFilter, _digest_pair, entries_containing, sized_for_bytes
 from repro.cold.blocks import (
     BLOOM_KIND,
     PARAMS_KIND,
@@ -249,9 +249,9 @@ class StorageEngine:
     # ------------------------------------------------------------------
     def patterns_matching_trace(self, trace_id: str) -> list[StoredBloom]:
         """All stored Bloom filters that (probably) contain ``trace_id``."""
-        h1, h2 = _digest_pair(trace_id)
-        self.filters_probed += len(self.blooms)
-        return [b for b in self.blooms if b.filter.contains_hashed(h1, h2)]
+        stored = self.blooms.resolved()
+        self.filters_probed += len(stored)
+        return entries_containing(stored, *_digest_pair(trace_id))
 
     def has_params(self, trace_id: str) -> bool:
         """True when the exact parameters of the trace are stored.

@@ -9,6 +9,12 @@ expected insertion count ``n`` and a target false-positive probability
 ``p``, the bit count is ``m = -n ln p / (ln 2)^2`` and the hash count is
 ``k = (m / n) ln 2``.  Double hashing over two independent 64-bit
 digests generates the ``k`` probe positions.
+
+Reads probe many stored filters with one digest per lookup.
+:meth:`BloomFilter.contains_hashed` is the single-filter ruler;
+:func:`entries_containing` is the read path's one probe pass over a
+list of filters that share a geometry: the digest's ``k`` probe
+positions are computed once, and each probe narrows the survivors.
 """
 
 from __future__ import annotations
@@ -50,6 +56,38 @@ def _digest_pair(item: str) -> tuple[int, int]:
         int.from_bytes(digest[:8], "big"),
         int.from_bytes(digest[8:16], "big"),
     )
+
+
+def entries_containing(entries: list, h1: int, h2: int) -> list:
+    """``[e for e in entries if e.filter.contains_hashed(h1, h2)]``: the
+    same objects in the same order, as a new list.
+
+    ``entries`` carry their filter as ``.filter``.  When all filters
+    share one geometry, each of the ``k`` ``(byte, mask)`` probe pairs
+    is computed once and narrows the survivors with one comprehension;
+    the pass stops when none survive.  Mixed geometries fall back to
+    the per-filter expression above.
+    """
+    if not entries:
+        return []
+    first = entries[0].filter
+    m, k = first.bit_count, first.hash_count
+    for entry in entries:
+        filt = entry.filter
+        if filt.bit_count != m or filt.hash_count != k:
+            return [e for e in entries if e.filter.contains_hashed(h1, h2)]
+    masks = _BIT_MASKS
+    pos = h1 % m
+    step = h2 % m
+    for _ in range(k):
+        byte, mask = pos >> 3, masks[pos & 7]
+        entries = [e for e in entries if e.filter._bits[byte] & mask]
+        if not entries:
+            break
+        pos += step
+        if pos >= m:
+            pos -= m
+    return entries
 
 
 class BloomFilter:

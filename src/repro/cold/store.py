@@ -191,6 +191,7 @@ class TieredBlooms:
         self._tier = tier
         self._entries: list[Any] = []
         self._positions: dict[str, list[int]] = {}
+        self._sealed = 0  # how many entries are sealed refs
 
     # ------------------------------------------------------------------
     # List protocol
@@ -209,6 +210,18 @@ class TieredBlooms:
         if isinstance(index, slice):
             return [self._resolve(entry) for entry in self._entries[index]]
         return self._resolve(self._entries[index])
+
+    def resolved(self) -> list["StoredBloom"]:
+        """``list(self)``, calling ``_resolve`` only for sealed refs:
+        blocks decode in ``__iter__``'s order, so decode counts and
+        LRU recency are the same."""
+        if not self._sealed:
+            return self._entries[:]
+        resolve = self._resolve
+        return [
+            resolve(entry) if type(entry) is _SealedBloomRef else entry
+            for entry in self._entries
+        ]
 
     def of_patterns(self, pattern_ids: Iterable[str]) -> list["StoredBloom"]:
         """Stored filters of the given topo patterns, in stored order.
@@ -236,9 +249,7 @@ class TieredBlooms:
     # ------------------------------------------------------------------
     def sealed_count(self) -> int:
         """How many stored filters are currently sealed."""
-        return sum(
-            1 for entry in self._entries if isinstance(entry, _SealedBloomRef)
-        )
+        return self._sealed
 
     def hot_positions(self) -> list[int]:
         """Positions of hot (sealable) entries, in stored order."""
@@ -266,6 +277,7 @@ class TieredBlooms:
                 block_id=block_id,
                 index=j,
             )
+        self._sealed += len(positions)
 
     def promote_block(self, block_id: int) -> None:
         """Unseal one block: refs become hot filters at their slots."""
@@ -273,6 +285,7 @@ class TieredBlooms:
         for i, entry in enumerate(self._entries):
             if isinstance(entry, _SealedBloomRef) and entry.block_id == block_id:
                 self._entries[i] = decoded[entry.index]
+                self._sealed -= 1
 
     def promote_host(self, host: str) -> int:
         """Unseal every block holding a filter from ``host``."""

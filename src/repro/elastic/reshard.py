@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 
 from repro.agent.reports import BloomReport, ParamsReport
 from repro.backend.sharded import ShardedBackend, shard_for_key
+from repro.cold.blocks import PARAMS_KIND
 from repro.transport.wire import MIGRATION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -204,7 +205,9 @@ def placement_violations(backend: ShardedBackend) -> list[str]:
     every registered host, no engine other than
     ``shard_for_key(host, num_shards)`` holds any of its Bloom filters
     or parameter records (modulo still-pinned routes, which count as
-    the owner)."""
+    the owner).  Sealed state is read off its hot metadata: a sealed
+    params bucket is decoded only when its block's host set names a
+    host this shard does not own."""
     violations: list[str] = []
     owners = {
         collector.node: backend.shard_for(collector.node)
@@ -216,8 +219,18 @@ def placement_violations(backend: ShardedBackend) -> list[str]:
                 violations.append(
                     f"bloom for {node} on shard {index}, owner is {owners[node]}"
                 )
-        for trace_id, bucket in engine.params.items():
-            for record in bucket:
+        params, cold = engine.params, engine.cold
+        blocks = [cold.block(block_id) for block_id in cold.block_ids(PARAMS_KIND)]
+        suspect = {
+            trace_id
+            for block in blocks
+            if any(owners.get(host, index) != index for host in block.hosts)
+            for trace_id in block.members
+        }
+        for trace_id in params:
+            if params.is_sealed(trace_id) and trace_id not in suspect:
+                continue
+            for record in params[trace_id]:
                 node = record[2]
                 if owners.get(node, index) != index:
                     violations.append(

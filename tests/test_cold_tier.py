@@ -347,7 +347,10 @@ class TestTieredBlooms:
                     )
                 )
             for engine in engines:
-                sealed_checks += engine.blooms.sealed_count() > 0
+                blooms = engine.blooms
+                sealed_checks += blooms.sealed_count() > 0
+                assert blooms.sealed_count() == len(blooms) - len(blooms.hot_positions())
+                assert [view(e) for e in blooms.resolved()] == [view(e) for e in blooms]
                 for ids in id_sets:
                     want = [view(e) for e in engine.blooms if e.topo_pattern_id in ids]
                     assert [view(e) for e in engine.blooms.of_patterns(ids)] == want

@@ -229,18 +229,65 @@ class TestReshardCoordinator:
         assert coordinator.stats.bloom_reports >= 1
         assert placement_violations(framework.backend) == []
 
-    def test_placement_audit_decodes_no_sealed_bloom_block(self):
-        # Sealed refs keep their node hot so placement scans never
-        # decode: an audit over sealed filters must leave every
-        # engine's decode counter where it was.
+    @staticmethod
+    def _sealed_sharded_2():
         framework = MintFramework(deployment=Deployment.sharded(2))
         stream, _ = generate_stream(build_onlineboutique(), 300, 0.1, seed=9)
         framework.warm_up([trace for _, trace in stream[:60]])
         drive(framework, stream[60:])
-        framework.compact(ColdPolicy(keep_hot_traces=len(stream), keep_hot_blooms=0))
+        return framework
+
+    @staticmethod
+    def _full_scan_audit(backend) -> list[str]:
+        """The audit's params half as a plain scan over every bucket."""
+        owners = {c.node: backend.shard_for(c.node) for c in backend._collectors}
+        return [
+            f"params of {trace_id} from {record[2]} on shard {index}, "
+            f"owner is {owners[record[2]]}"
+            for index, engine in enumerate(backend.shards)
+            for trace_id, bucket in engine.params.items()
+            for record in bucket
+            if owners.get(record[2], index) != index
+        ]
+
+    def test_placement_audit_decodes_no_sealed_bloom_block(self):
+        # Sealed refs keep their node hot so placement scans never
+        # decode: an audit over sealed filters must leave every
+        # engine's decode counter where it was.
+        framework = self._sealed_sharded_2()
+        framework.compact(ColdPolicy(keep_hot_traces=300, keep_hot_blooms=0))
         assert framework.cold_stats()["sealed_bloom_filters"] > 0
         assert placement_violations(framework.backend) == []
         assert [engine.cold.blocks_decoded for engine in framework.backend.shards] == [0, 0]
+        framework.close()
+
+    def test_placement_audit_decodes_no_sealed_params_block(self):
+        framework = self._sealed_sharded_2()
+        framework.compact(ColdPolicy(keep_hot_traces=20, keep_hot_blooms=0))
+        assert framework.cold_stats()["sealed_params_traces"] > 0
+        assert placement_violations(framework.backend) == []
+        assert [engine.cold.blocks_decoded for engine in framework.backend.shards] == [0, 0]
+        framework.close()
+
+    def test_placement_audit_reports_a_misplaced_record_in_a_sealed_block(self):
+        framework = self._sealed_sharded_2()
+        backend = framework.backend
+        home, other = backend.shards
+        trace_id = next(iter(home.params))
+        foreign, record = next(
+            (record[2], record) for bucket in other.params.values() for record in bucket
+        )
+        assert backend.shard_for(foreign) == 1
+        home.store_params_report(
+            ParamsReport(node=foreign, trace_id=trace_id, records=[list(record)])
+        )
+        framework.compact(ColdPolicy(keep_hot_traces=20, keep_hot_blooms=0))
+        assert home.params.is_sealed(trace_id)
+        violations = placement_violations(backend)
+        assert violations == [
+            f"params of {trace_id} from {foreign} on shard 0, owner is 1"
+        ]
+        assert violations == self._full_scan_audit(backend)
         framework.close()
 
     def test_reshard_without_a_target_is_an_error(self):

@@ -3,6 +3,12 @@
 * ``StringTemplate.reconstruct`` (one interleaving join) ≡ the token
   walk in ``tests/reference_read_path.py``.
 * ``BloomFilter.contains_hashed(*_digest_pair(x))`` ≡ ``x in f``.
+* ``entries_containing(entries, h1, h2)`` ≡ the ``contains_hashed``
+  comprehension (same objects, same order) over mixed geometries, and
+  the merged pre-screen ≡ the oracle's while accumulators are added and
+  dropped.
+* A lookup resolves sealed filters in ``iter(engine.blooms)`` order:
+  decode counts and LRU order equal a plain iteration's.
 * The render memo is dropped exactly when a pattern report changes
   something or the reachable shards move, is bounded by the topo
   library, and never shares ``nodes_reporting`` between results.
@@ -26,9 +32,10 @@ from hypothesis import strategies as st
 
 from repro.agent.reports import BloomReport, ParamsReport, PatternLibraryReport
 from repro.backend.backend import MintBackend
-from repro.backend.sharded import ShardedBackend, shard_for_key
-from repro.backend.storage import StoredBloom
-from repro.bloom.bloom_filter import BloomFilter, _digest_pair, sized_for_bytes
+from repro.backend.sharded import MergedStorageView, ShardedBackend, shard_for_key
+from repro.backend.storage import StorageEngine, StoredBloom
+from repro.bloom.bloom_filter import BloomFilter, _digest_pair, entries_containing, sized_for_bytes
+from repro.cold import ColdPolicy, blocks, compactor
 from repro.cold.blocks import decode_bloom_payload, encode_bloom_payload
 from repro.elastic.chaos import SHARD_CHAOS_PROFILES
 from repro.framework import MintFramework
@@ -179,6 +186,146 @@ class TestHashedProbe:
         assert item not in filt and not filt.contains_hashed(*_digest_pair(item))
         filt.add(item)
         assert item in filt and filt.contains_hashed(*_digest_pair(item))
+
+
+# ----------------------------------------------------------------------
+# entries_containing: one probe pass over many filters
+# ----------------------------------------------------------------------
+def comprehension(entries, h1, h2):
+    return [e for e in entries if e.filter.contains_hashed(h1, h2)]
+
+
+def assert_same_objects(got, want):
+    assert [id(e) for e in got] == [id(e) for e in want]
+
+
+def random_entries(rng, make, count, fill):
+    entries = []
+    for index in range(count):
+        filt = make()
+        for _ in range(rng.randint(0, fill)):
+            filt.add(f"{rng.getrandbits(128):032x}")
+        entries.append(StoredBloom(f"n{index % 3}", f"t{index % 5}", filt))
+    return entries
+
+
+# Two buffer sizes at two fpps, and tiny geometries whose probe
+# sequence wraps past ``m`` on almost every digest; the last two share
+# ``m = 8`` but probe 6 and 3 times.
+PROBE_GEOMETRIES = [
+    lambda: sized_for_bytes(4096, 0.01),
+    lambda: sized_for_bytes(512, 0.05),
+    lambda: BloomFilter(37, 0.2),
+    lambda: BloomFilter(1, 0.5),
+    lambda: BloomFilter(2, 0.5),
+]
+
+
+class TestEntriesContaining:
+    def test_equals_the_comprehension_over_mixed_geometries(self):
+        rng = random.Random(34)
+        for _ in range(60):
+            entries = []
+            for make in rng.sample(PROBE_GEOMETRIES, rng.randint(1, 3)):
+                probe = make()
+                fill = rng.choice([1, probe.expected_insertions // 3, probe.expected_insertions])
+                entries += random_entries(rng, make, rng.randint(0, 12), fill)
+            rng.shuffle(entries)
+            for _ in range(40):
+                digest = rng.getrandbits(64), rng.getrandbits(64)
+                got = entries_containing(entries, *digest)
+                assert_same_objects(got, comprehension(entries, *digest))
+                assert got is not entries
+
+    def test_empty_none_one_and_all(self):
+        rng = random.Random(7)
+        assert entries_containing([], 1, 2) == []
+        entries = random_entries(rng, PROBE_GEOMETRIES[0], 10, 3)
+        absent = next(
+            digest
+            for digest in ((rng.getrandbits(64), rng.getrandbits(64)) for _ in range(1000))
+            if not comprehension(entries, *digest)
+        )
+        assert entries_containing(entries, *absent) == []
+        entries[4].filter.add("only-here")
+        one = _digest_pair("only-here")
+        assert_same_objects(entries_containing(entries, *one), [entries[4]])
+        for entry in entries:
+            entry.filter.add("everywhere")
+        every = _digest_pair("everywhere")
+        assert_same_objects(entries_containing(entries, *every), entries)
+        mixed = entries + random_entries(rng, PROBE_GEOMETRIES[1], 5, 0)
+        mixed[-1].filter.add("everywhere")
+        assert_same_objects(entries_containing(mixed, *every), entries + mixed[-1:])
+
+    def test_same_bit_count_other_hash_count_is_another_geometry(self):
+        rng = random.Random(2)
+        six, three = PROBE_GEOMETRIES[-2](), PROBE_GEOMETRIES[-1]()
+        assert six.bit_count == three.bit_count and six.hash_count != three.hash_count
+        entries = random_entries(rng, PROBE_GEOMETRIES[-2], 6, 1)
+        entries += random_entries(rng, PROBE_GEOMETRIES[-1], 6, 1)
+        for _ in range(300):
+            digest = rng.getrandbits(64), rng.getrandbits(64)
+            for ordered in (entries, entries[::-1]):
+                assert_same_objects(
+                    entries_containing(ordered, *digest), comprehension(ordered, *digest)
+                )
+
+    @pytest.mark.parametrize("make", PROBE_GEOMETRIES)
+    def test_digests_that_wrap_past_m(self, make):
+        rng = random.Random(11)
+        entries = random_entries(rng, make, 8, make().expected_insertions // 2)
+        m, k = entries[0].filter.geometry()
+        top = 2**64 // m * m  # the largest multiple of m a 64-bit digest reaches
+        for h1 in (m - 1, 2 * m - 1, top - 1):  # all start at m - 1
+            for h2 in (m - 1, m + m // 2, top + 1):
+                positions = [h1 % m + i * (h2 % m) for i in range(k)]
+                assert k >= 2 and max(positions) >= m  # the sequence wraps
+                assert_same_objects(
+                    entries_containing(entries, h1, h2), comprehension(entries, h1, h2)
+                )
+
+
+class TestPrescreenCandidates:
+    def test_equals_the_oracle_while_accumulators_come_and_go(self):
+        rng = random.Random(3)
+        shards = [StorageEngine(4096, 0.01), StorageEngine(512, 0.05)]
+        view = MergedStorageView(shards)
+        patterns = [f"{index:016x}" for index in range(6)]
+        inserted: list[str] = []
+        dropped = 0
+        for step in range(80):
+            shard = rng.choice(shards)
+            filt = sized_for_bytes(shard.bloom_buffer_bytes, shard.bloom_fpp)
+            heavy = rng.random() < 0.1  # drives an accumulator past saturation
+            for _ in range(filt.expected_insertions if heavy else rng.randint(1, 20)):
+                inserted.append(f"{rng.getrandbits(128):032x}")
+                filt.add(inserted[-1])
+            report = BloomReport(
+                node=f"host-{step % 4}",
+                topo_pattern_id=rng.choice(patterns),
+                payload=filt.to_bytes(),
+                inserted=len(filt),
+            )
+            before = len(view._accumulators)
+            shard.store_bloom_report(report)
+            view.observe_report(report, shard)
+            dropped += len(view._accumulators) < before
+            assert [(e.topo_pattern_id, id(e.filter)) for e in view._accumulators] == [
+                (pattern_id, id(filt))
+                for pattern_id, groups in view._merged_blooms.items()
+                for filt in groups.values()
+            ]
+            for trace_id in rng.sample(inserted, 5) + [f"absent-{step}"]:
+                want = reference_read_path.merged_prescreen_candidates(view, trace_id)
+                assert view.prescreen_candidates(trace_id) == want
+                assert_same_objects(
+                    view.patterns_matching_trace(trace_id),
+                    reference_read_path.merged_patterns_matching_trace(view, trace_id),
+                )
+        assert dropped and view._prescreen_saturated
+        geometries = {e.filter.geometry() for e in view._accumulators}
+        assert len(geometries) == 2
 
 
 class TestFromBytes:
@@ -516,3 +663,44 @@ class TestPrescreenedOutBlocksStayCold:
             OTHER.pattern_id
         ]
         assert engine.cold.blocks_decoded == 1
+
+
+# ----------------------------------------------------------------------
+# A lookup decodes sealed blocks in iteration order
+# ----------------------------------------------------------------------
+def sealed_engines(shards: int) -> list[StorageEngine]:
+    """OnlineBoutique with all but two filters sealed, one per block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compactor, "BLOCK_BLOOMS", 1)
+        deployment = Deployment.single() if shards == 1 else Deployment.sharded(shards)
+        framework = MintFramework(deployment=deployment)
+        stream, _ = generate_stream(build_onlineboutique(), 300, 0.1, seed=9)
+        framework.warm_up([trace for _, trace in stream[:60]])
+        drive(framework, stream[60:])
+        framework.compact(ColdPolicy(keep_hot_traces=20, keep_hot_blooms=2))
+    storage = framework.backend.storage
+    framework.close()
+    return list(getattr(storage, "shards", [storage]))
+
+
+class TestLookupDecodeOrder:
+    @pytest.mark.parametrize("shards", [1, 2], ids=["single", "sharded-2"])
+    def test_a_lookup_leaves_the_cold_tier_as_iteration_does(self, shards, monkeypatch):
+        looked_up, iterated = sealed_engines(shards), sealed_engines(shards)
+        monkeypatch.setattr(blocks, "CACHE_BLOCKS", 3)  # a sweep evicts
+        rng = random.Random(5)
+        for lookup, twin in zip(looked_up, iterated):
+            assert twin.blooms.sealed_count() > blocks.CACHE_BLOCKS
+            for block_id in rng.sample(twin.cold.block_ids(), 3):  # same warm LRU on both
+                lookup.cold.decode(block_id)
+                twin.cold.decode(block_id)
+            for trace_id in rng.sample(sorted(twin.params), 4) + ["no-such-trace"]:
+                matches = lookup.patterns_matching_trace(trace_id)
+                swept = list(iter(twin.blooms))
+                assert [(m.node, m.topo_pattern_id) for m in matches] == [
+                    (s.node, s.topo_pattern_id)
+                    for s in swept
+                    if s.filter.contains_hashed(*_digest_pair(trace_id))
+                ]
+                assert lookup.cold.blocks_decoded == twin.cold.blocks_decoded
+                assert list(lookup.cold._cache) == list(twin.cold._cache)
