@@ -1,4 +1,9 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-table benches.
+
+A plain module rather than ``conftest.py``: pytest imports a
+``conftest.py`` outside any package as the module ``conftest``, so in a
+session that also collects ``tests/``, ``from conftest import emit``
+would resolve to ``tests/conftest.py``.
 
 Every bench regenerates one of the paper's tables or figures (as a text
 table of the same rows/series) at laptop scale.  Results are printed

@@ -12,7 +12,7 @@ DESIGN.md calls out three tunables worth sweeping:
 from __future__ import annotations
 
 import pytest
-from conftest import emit, once
+from bench_helpers import emit, once
 
 from repro.agent.config import MintConfig
 from repro.analysis import render_table

@@ -9,7 +9,7 @@ MB/min of each and the projected GB/day at a production request rate.
 from __future__ import annotations
 
 import pytest
-from conftest import emit, once
+from bench_helpers import emit, once
 
 from repro.analysis import render_table
 from repro.baselines import OTFull

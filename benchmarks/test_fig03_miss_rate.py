@@ -10,7 +10,7 @@ query model issues biased-but-partly-unpredictable queries per day.
 from __future__ import annotations
 
 import pytest
-from conftest import emit, once
+from bench_helpers import emit, once
 
 from repro.analysis import miss_rate, render_table
 from repro.baselines.otel import OTHead, OTTail

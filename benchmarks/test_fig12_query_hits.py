@@ -12,7 +12,7 @@ model; the same seven series are reported per day.
 from __future__ import annotations
 
 import pytest
-from conftest import emit, once
+from bench_helpers import emit, once
 
 from repro.agent.samplers import TailSampler
 from repro.analysis import render_table

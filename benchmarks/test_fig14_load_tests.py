@@ -14,7 +14,7 @@ resident tracing memory are reported per test.
 from __future__ import annotations
 
 import pytest
-from conftest import emit, once
+from bench_helpers import emit, once
 
 from repro.agent.samplers import HeadSampler
 from repro.analysis import render_table

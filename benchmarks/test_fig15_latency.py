@@ -15,7 +15,7 @@ from __future__ import annotations
 import statistics
 
 import pytest
-from conftest import emit, once
+from bench_helpers import emit, once
 
 from repro.analysis import render_table
 from repro.baselines import OTFull

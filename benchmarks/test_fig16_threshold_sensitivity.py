@@ -14,7 +14,7 @@ sampling or compression; total pattern + parameter bytes are reported.
 from __future__ import annotations
 
 import pytest
-from conftest import emit, once
+from bench_helpers import emit, once
 
 from repro.analysis import render_table
 from repro.model.encoding import encoded_size

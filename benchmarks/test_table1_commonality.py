@@ -8,7 +8,7 @@ the three services; the same pair statistics are computed exactly.
 from __future__ import annotations
 
 import pytest
-from conftest import emit, once
+from bench_helpers import emit, once
 
 from repro.analysis import inter_span_commonality, inter_trace_commonality, render_table
 from repro.sim.experiment import generate_stream

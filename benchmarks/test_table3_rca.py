@@ -19,7 +19,7 @@ check Mint against each baseline rather than a fixed Sieve gap.
 from __future__ import annotations
 
 import pytest
-from conftest import emit, once
+from bench_helpers import emit, once
 
 from repro.agent.samplers import TailSampler
 from repro.analysis import render_table, top1_accuracy

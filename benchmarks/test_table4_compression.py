@@ -15,7 +15,7 @@ every dataset.
 from __future__ import annotations
 
 import pytest
-from conftest import emit, once
+from bench_helpers import emit, once
 
 from repro.analysis import render_table
 from repro.compression import CLPCompressor, LogReducerCompressor, LogZipCompressor, MintCompressor

@@ -12,7 +12,7 @@ the paper's dozens-at-most band regardless of corpus size.
 from __future__ import annotations
 
 import pytest
-from conftest import emit, once
+from bench_helpers import emit, once
 
 from repro.analysis import render_table
 from repro.framework import MintFramework

@@ -49,6 +49,8 @@ class CLPCompressor(Compressor):
         raw = corpus_raw_bytes(traces)
         logtypes: dict[str, int] = {}
         var_dict: dict[str, int] = {}
+        # A corpus repeats its tokens: classify each distinct core once.
+        classes: dict[str, str] = {"": "logtype"}
         residual_bytes = 0
         for line in lines:
             # CLP tokenises on punctuation as well as spaces; splitting
@@ -74,7 +76,9 @@ class CLPCompressor(Compressor):
                 prefix_len = token.find(core) if core else len(token)
                 prefix = token[:prefix_len]
                 suffix = token[prefix_len + len(core):] if core else ""
-                cls = classify_token(core) if core else "logtype"
+                cls = classes.get(core)
+                if cls is None:
+                    cls = classes[core] = classify_token(core)
                 if cls == "number":
                     logtype_parts.append(f"{prefix}\\f{suffix}")
                     numbers.append(float(core))

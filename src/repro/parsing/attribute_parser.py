@@ -23,7 +23,7 @@ from repro.parsing.lcs import token_similarity
 from repro.parsing.numeric_buckets import Bucket, NumericBucketer
 from repro.parsing.prefix_tree import TemplatePrefixTree
 from repro.parsing.string_patterns import StringTemplate, extract_template
-from repro.parsing.tokenizer import tokenize, word_tokens
+from repro.parsing.tokenizer import tokenize, tokenize_words, word_tokens
 
 # How many raw member values each template remembers, used to re-derive
 # a wider template when a near-miss value arrives online.
@@ -54,7 +54,7 @@ class StringAttributeParser:
     # Exact-value memo bound: repeated values (constant attributes,
     # small vocabularies) should cost one dict lookup, not a tree walk.
     _VALUE_CACHE_CAP = 4096
-    # How many hit-ranked templates to try with a direct regex match
+    # How many hit-ranked templates to try with a direct template match
     # before falling back to the prefix-tree walk.
     _HOT_TEMPLATES = 5
 
@@ -66,7 +66,7 @@ class StringAttributeParser:
         self._representatives: dict[StringTemplate, dict[str, list[str]]] = {}
         # Exact value -> parsed result, and -> the template it matched.
         # Caching the parsed result (not just the template) lets
-        # repeated values skip the regex extraction entirely; the
+        # repeated values skip the template extraction entirely; the
         # ParsedAttribute is immutable and its params list is never
         # mutated by consumers.  Two dicts with the same keys, not one
         # of pairs: a pair would be one more long-lived container per
@@ -115,7 +115,7 @@ class StringAttributeParser:
 
         Returns the matched (or newly created) pattern plus the wildcard
         parameters extracted from the value.  Hot paths first: an
-        exact-value memo, then a direct regex check of the most-hit
+        exact-value memo, then a direct template check of the most-hit
         templates (accepted only when the extracted parameters are a
         small fraction of the value — a wide template matching
         everything must not swallow whole clauses as parameters), then
@@ -223,7 +223,7 @@ class StringAttributeParser:
         Only templates with at least one wildcard are tried here: a
         fully-literal template matching means the value is identical,
         which the value memo already covers.  Each candidate is probed
-        with a single regex pass that also yields the parameters, so the
+        with one ``extract`` pass that also yields the parameters, so the
         winning template is never matched twice.
         """
         best: StringTemplate | None = None
@@ -287,7 +287,7 @@ class StringAttributeParser:
             if member not in reps and len(reps) < _REPRESENTATIVES_PER_TEMPLATE:
                 # Interned: representatives of one key share a small
                 # vocabulary, so kept word lists cost pointers, not strings.
-                reps[member] = [*map(sys.intern, word_tokens(tokenize(member)))]
+                reps[member] = [*map(sys.intern, tokenize_words(member)[1])]
 
     def _replace(
         self, old: StringTemplate, new: StringTemplate, members: list[str]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.parsing.lcs import token_similarity
-from repro.parsing.tokenizer import tokenize, word_tokens
+from repro.parsing.tokenizer import tokenize_words
 
 
 @dataclass
@@ -65,8 +65,7 @@ def cluster_strings(
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     clusters: list[StringCluster] = []
     for value in values:
-        tokens = tokenize(value)
-        words = word_tokens(tokens)
+        tokens, words = tokenize_words(value)
         best_index = -1
         best_score = -1.0
         for index, cluster in enumerate(clusters):

@@ -113,7 +113,7 @@ class TemplatePrefixTree:
 
         ``tokens`` must be ``tokenize(value)``; the walk uses tokens to
         prune the tree, then confirms candidates against the raw string
-        (wildcard semantics are defined by the template's regex).
+        (wildcard semantics are defined by ``StringTemplate.extract``).
         """
         best: StringTemplate | None = None
         for template in self._candidates(tokens):
@@ -149,7 +149,7 @@ class TemplatePrefixTree:
                 i, pos = i + 1, pos + 1
             else:
                 # A template ending in a wildcard may also terminate with
-                # trailing input; the regex confirmation has the final say.
+                # trailing input; the template's own match has the final say.
                 if node.template is not None and (pos == end or (edge and edge[-1] == WILDCARD)):
                     out.append(node.template)
                 children = node.children

@@ -5,15 +5,18 @@ regular expression that can represent all strings in the cluster, which
 serves as the pattern P_i for that cluster."*
 
 A :class:`StringTemplate` is a token sequence where variable positions
-are the wildcard ``<*>``.  It compiles to an anchored regular expression
-(wildcards become lazy groups), supports parameter extraction and exact
-reconstruction: ``template.reconstruct(template.extract(v)) == v`` for
-any matching ``v``.
+are the wildcard ``<*>``: literal pieces around wildcards, anchored at
+both ends.  Matching needs no compiled regular expression: the value
+must start with the first piece and end with the last, and each middle
+piece is searched at its leftmost position after the previous one —
+the groups a lazy, fully anchored ``(.*?)`` regex would capture.  It
+supports parameter extraction and exact reconstruction:
+``template.reconstruct(template.extract(v)) == v`` for any matching
+``v``.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -49,7 +52,6 @@ class StringTemplate:
             collapsed.append(token)
         tokens = tuple(collapsed)
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "_regex", self._compile())
         # Templates are immutable and sit on the parse hot path as dict
         # keys and ranking candidates: precompute what every lookup and
         # hot-match probe would otherwise recount.
@@ -59,25 +61,13 @@ class StringTemplate:
         object.__setattr__(self, "text", detokenize(list(tokens)))
         object.__setattr__(self, "_hash", hash(tokens))
         object.__setattr__(self, "_pieces", tuple(pieces))
+        # The literal pieces that ``extract`` searches for, split once.
+        object.__setattr__(self, "_head", pieces[0])
+        object.__setattr__(self, "_middle", tuple(pieces[2:-1:2]))
+        object.__setattr__(self, "_tail", pieces[-1])
 
     def __hash__(self) -> int:
         return self._hash
-
-    def _compile(self) -> re.Pattern[str]:
-        parts: list[str] = ["^"]
-        literal_run: list[str] = []
-        for token in self.tokens:
-            if token == WILDCARD:
-                if literal_run:
-                    parts.append(re.escape(detokenize(literal_run)))
-                    literal_run = []
-                parts.append("(.*?)")
-            else:
-                literal_run.append(token)
-        if literal_run:
-            parts.append(re.escape(detokenize(literal_run)))
-        parts.append("$")
-        return re.compile("".join(parts), re.DOTALL)
 
     # ``text`` (human-readable template string, e.g. ``select * from
     # <*>``) is a precomputed instance attribute set in ``__post_init__``
@@ -90,18 +80,33 @@ class StringTemplate:
 
     def matches(self, value: str) -> bool:
         """True when ``value`` is in the language of this template."""
-        return self._regex.match(value) is not None
+        return self.extract(value) is not None
 
     def extract(self, value: str) -> list[str] | None:
         """Extract the wildcard parameters from ``value``.
 
         Returns one string per wildcard (possibly empty strings), or
-        ``None`` when the value does not match the template.
+        ``None`` when the value does not match the template.  Each
+        middle piece is placed at its leftmost occurrence that leaves
+        room for the tail: if any placement fits, that one does, and
+        it yields the shortest-first groups of a lazy regex.
         """
-        match = self._regex.match(value)
-        if match is None:
+        head = self._head
+        if not self.wildcard_count:
+            return [] if value == head else None
+        tail = self._tail
+        pos, end = len(head), len(value) - len(tail)
+        if end < pos or not value.startswith(head) or not value.endswith(tail):
             return None
-        return list(match.groups())
+        params: list[str] = []
+        for piece in self._middle:
+            found = value.find(piece, pos, end)
+            if found < 0:
+                return None
+            params.append(value[pos:found])
+            pos = found + len(piece)
+        params.append(value[pos:end])
+        return params
 
     def reconstruct(self, params: Sequence[str]) -> str:
         """Substitute ``params`` back into the wildcards.
@@ -200,7 +205,7 @@ def extract_template(cluster: StringCluster) -> StringTemplate:
     if not template_tokens:
         template_tokens = [WILDCARD]
     template = StringTemplate(tokens=tuple(template_tokens))
-    # LCS alignment is not always consistent with greedy regex matching;
+    # LCS alignment is not always consistent with leftmost piece matching;
     # widen any template that fails to match one of its own members.
     for member in cluster.members:
         if not template.matches(member):

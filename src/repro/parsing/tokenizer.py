@@ -42,6 +42,17 @@ def detokenize(tokens: list[str]) -> str:
     return "".join(tokens)
 
 
+def tokenize_words(value: str) -> tuple[list[str], list[str]]:
+    """``(tokenize(value), word_tokens(tokenize(value)))`` from one split.
+
+    The capturing split alternates word slots (even) and delimiter-run
+    slots (odd), so the words are the non-empty even slots: no
+    per-token delimiter check is needed.
+    """
+    fragments = _SPLIT_RE.split(value)
+    return [f for f in fragments if f], [f for f in fragments[0::2] if f]
+
+
 def word_tokens(tokens: list[str]) -> list[str]:
     """Filter out pure-delimiter tokens, keeping only words.
 

@@ -70,6 +70,22 @@ class TestSpanParser:
         assert rebuilt.span_id == span.span_id
         assert rebuilt.kind is span.kind
 
+    def test_exact_reconstruction_keeps_trailing_newline(self):
+        # A ``$``-anchored template regex matched just before a trailing
+        # "\n" and dropped it from the extracted parameters.
+        def db_span(i: int, tail: str = ""):
+            statement = f"select * from users where id = {i} limit 10{tail}"
+            return make_span(span_id=f"{i:016x}", attributes={"db.statement": statement})
+
+        parser = SpanParser()
+        parser.warm_up([db_span(i) for i in range(20)])
+        for i in (41, 42, 43):
+            parser.parse(db_span(i))
+        span = db_span(77, tail="\n")
+        parsed = parser.parse(span)
+        rebuilt = reconstruct_exact_span(parser.library.get(parsed.pattern_id), parsed)
+        assert rebuilt.attributes == span.attributes
+
     def test_match_counts(self):
         parser = SpanParser()
         parser.warm_up([sample_span(i) for i in range(6)])

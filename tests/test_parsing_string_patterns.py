@@ -33,6 +33,20 @@ class TestStringTemplate:
         value = "a/middle-part/c"
         assert t.reconstruct(t.extract(value)) == value
 
+    def test_trailing_newline_is_part_of_the_value(self):
+        # The end anchor is the end of the value, not "before a final
+        # newline": a literal tail must be the value's true suffix, and
+        # a trailing wildcard keeps the newline in its parameter.
+        t = StringTemplate(tokens=tuple(tokenize("id = ")) + (WILDCARD,) + (" ", "limit"))
+        assert t.extract("id = 77 limit") == ["77"]
+        assert t.extract("id = 77 limit\n") is None
+        assert not t.matches("id = 77 limit\n")
+        t = StringTemplate(tokens=("select", " ", WILDCARD))
+        assert t.extract("select x\n") == ["x\n"]
+        assert t.reconstruct(t.extract("select x\n")) == "select x\n"
+        literal = StringTemplate(tokens=("a",))
+        assert literal.matches("a") and not literal.matches("a\n")
+
     def test_reconstruct_wrong_arity_rejected(self):
         t = StringTemplate(tokens=("a", WILDCARD))
         with pytest.raises(ValueError):
