@@ -35,7 +35,11 @@ __all__ = [
 
 
 class Querier:
-    """Answers trace-id queries against a :class:`StorageEngine`."""
+    """Answers trace-id queries against a :class:`StorageEngine`.
+
+    Answers share the store's memos (exact spans, segment renders,
+    stitched orders) with other results across queries and plans, not
+    only within a batch: results are read-only."""
 
     def __init__(self, storage: StorageEngine) -> None:
         self.storage = storage
@@ -59,18 +63,26 @@ class Querier:
     # Exact reconstruction
     # ------------------------------------------------------------------
     def _reconstruct_exact(self, trace_id: str) -> Trace | None:
-        records = self.storage.params.get(trace_id, [])
-        patterns = self.storage.span_patterns
-        spans = []
-        for record in records:
-            pattern = patterns.get(record[3])
-            if pattern is None:
-                continue
-            spans.append(span_from_record(trace_id, record, pattern))
-        if not spans:
-            return None
-        spans.sort(key=lambda s: (s.start_time, s.span_id))
-        return Trace(trace_id=trace_id, spans=spans)
+        """Rebuilt once per stored state (``storage.exact_traces``); a
+        trace with a sealed bucket is never memoised, so a sealed read
+        always reads its block.  Answers are fresh :class:`Trace` objects."""
+        memo = self.storage.exact_traces
+        spans = memo.get(trace_id)
+        if spans is None:
+            records = self.storage.params.get(trace_id, [])
+            patterns = self.storage.span_patterns
+            spans = []
+            for record in records:
+                pattern = patterns.get(record[3])
+                if pattern is None:
+                    continue
+                spans.append(span_from_record(trace_id, record, pattern))
+            if not spans:
+                return None
+            spans.sort(key=lambda s: (s.start_time, s.span_id))
+            if not self.storage.params.is_sealed(trace_id):
+                memo[trace_id] = spans
+        return Trace(trace_id=trace_id, spans=list(spans))
 
     # ------------------------------------------------------------------
     # Approximate reconstruction

@@ -92,6 +92,10 @@ class _MergedParams:
     def __contains__(self, trace_id: str) -> bool:
         return any(trace_id in shard.params for shard in self._shards)
 
+    def is_sealed(self, trace_id: str) -> bool:
+        """True when any shard's bucket of the trace is sealed."""
+        return any(shard.params.is_sealed(trace_id) for shard in self._shards)
+
     def __iter__(self) -> Iterator[str]:
         seen: set[str] = set()
         for shard in self._shards:
@@ -239,6 +243,7 @@ class MergedStorageView:
         self.sampled_trace_ids = _MergedSampledIds(shards, self._extra_sampled)
         self._segment_renders: dict[str, Any] = {}
         self._segment_orders: dict[tuple[str, ...], Any] = {}
+        self._exact_traces: dict[str, list[Any]] = {}
         self._render_token: tuple = ()  # what the memos were filled under
         self.filters_probed = 0
         self.filters_pruned = 0
@@ -367,16 +372,21 @@ class MergedStorageView:
         """Drop the querier's memos unless they were filled under the
         current patterns.
 
-        Renders resolve through the fan-out over *reachable* shards, so
-        the memos are dropped when any of them stored a pattern change
-        or the reachable set moved — an outage render never serves a
-        healthy read, nor the reverse.
+        Renders and exact traces resolve through the fan-out over
+        *reachable* shards, so the memos are dropped when any of them
+        stored a pattern change or the reachable set moved — an outage
+        answer never serves a healthy read, nor the reverse.  A fresh
+        exact-trace memo is watched by every reachable shard's params
+        store, which drops a trace whenever one of its buckets changes.
         """
         token = tuple((id(shard), shard.pattern_version) for shard in self.shards)
         if token != self._render_token:
             self._render_token = token
             self._segment_renders = {}
             self._segment_orders = {}
+            self._exact_traces = {}
+            for shard in self.shards:
+                shard.params.watch(self, self._exact_traces)
 
     @property
     def segment_renders(self) -> dict[str, Any]:
@@ -389,6 +399,12 @@ class MergedStorageView:
         """The querier's stitched-order memo, dropped with the renders."""
         self._current_memos()
         return self._segment_orders
+
+    @property
+    def exact_traces(self) -> dict[str, list[Any]]:
+        """The querier's exact-trace memo, dropped with the renders."""
+        self._current_memos()
+        return self._exact_traces
 
     def has_params(self, trace_id: str) -> bool:
         """True when some shard holds the trace's exact parameters."""

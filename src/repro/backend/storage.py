@@ -66,6 +66,11 @@ class StorageEngine:
         self.blooms: TieredBlooms = TieredBlooms(self.cold)
         # trace_id -> compact param records (see ParsedSpan.compact_record)
         self.params: TieredParams = TieredParams(self.cold)
+        # Exact traces the querier rebuilt, by trace id: mirrors the hot
+        # params buckets (writing or sealing one drops its trace) and is
+        # dropped whole with any pattern change.
+        self.exact_traces: dict[str, list[Any]] = {}
+        self.params.watch(self, self.exact_traces)
         self.sampled_trace_ids: set[str] = set()
         # Stored filters this engine's lookups probed; it has no
         # pre-screen, so it never prunes one.
@@ -84,6 +89,8 @@ class StorageEngine:
         for data in report.span_patterns:
             pattern = SpanPattern.from_dict(data)
             if pattern.pattern_id not in self.span_patterns:
+                # Built here, once per stored pattern, not on a first read.
+                pattern.reconstruction_plan
                 self.span_patterns[pattern.pattern_id] = pattern
                 self._pattern_bytes += encoded_size(data)
                 changed = True
@@ -108,6 +115,7 @@ class StorageEngine:
             self.pattern_version += 1
             self.segment_renders = {}
             self.segment_orders = {}
+            self.exact_traces.clear()
 
     def store_bloom_report(self, report: BloomReport) -> None:
         """Index a flushed Bloom filter under its topo pattern."""
@@ -134,7 +142,12 @@ class StorageEngine:
         they stay compact at rest and are expanded lazily at query time.
         """
         bucket = self.params.setdefault(report.trace_id, [])
-        known = {(r[0], r[2]) for r in bucket}
+        # Only records from the report's own nodes can repeat a key, so
+        # no key is built for another node's records or an empty bucket.
+        known = set()
+        if bucket:
+            nodes = {record[2] for record in report.records}
+            known = {(r[0], r[2]) for r in bucket if r[2] in nodes}
         for record in report.records:
             key = (record[0], record[2])
             if key in known:

@@ -41,6 +41,10 @@ class TieredParams:
     semantics exactly — new keys append, deletion removes, re-insertion
     re-appends — so ``iter(engine.params)`` is bit-identical to the
     never-sealed engine's whatever was sealed in between.
+
+    Stores that memoise what they derive from a bucket register the
+    memo with :meth:`watch`; writing or sealing a bucket drops its key
+    from every registered memo (so promoting one finds none to drop).
     """
 
     def __init__(self, tier: ColdTier) -> None:
@@ -48,6 +52,7 @@ class TieredParams:
         self._hot: dict[str, list[list[Any]]] = {}
         self._cold: dict[str, int] = {}  # trace_id -> sealed block id
         self._order: dict[str, None] = {}
+        self._memos: dict[object, dict[str, Any]] = {}  # owner -> memo
 
     # ------------------------------------------------------------------
     # Reads (read-through, never promote)
@@ -90,7 +95,18 @@ class TieredParams:
     # ------------------------------------------------------------------
     # Writes (promote-on-write)
     # ------------------------------------------------------------------
+    def watch(self, owner: object, memo: dict[str, Any]) -> None:
+        """Keep ``memo`` (keyed like the buckets) in step with them:
+        one memo per owner, a new one replacing the owner's last."""
+        self._memos[owner] = memo
+
+    def _forget(self, key: str) -> None:
+        for memo in self._memos.values():
+            memo.pop(key, None)
+
     def setdefault(self, key: str, default: list[list[Any]]) -> list[list[Any]]:
+        # The caller may append to the bucket in place.
+        self._forget(key)
         block_id = self._cold.get(key)
         if block_id is not None:
             self.promote_block(block_id)
@@ -102,6 +118,7 @@ class TieredParams:
         return default
 
     def __setitem__(self, key: str, value: list[list[Any]]) -> None:
+        self._forget(key)
         block_id = self._cold.get(key)
         if block_id is not None:
             self.promote_block(block_id)
@@ -110,6 +127,7 @@ class TieredParams:
         self._hot[key] = value
 
     def __delitem__(self, key: str) -> None:
+        self._forget(key)
         block_id = self._cold.get(key)
         if block_id is not None:
             self.promote_block(block_id)
@@ -138,6 +156,7 @@ class TieredParams:
         and verified by the caller).  Keys keep their registry slots —
         iteration order is untouched."""
         for key in keys:
+            self._forget(key)
             del self._hot[key]
             self._cold[key] = block_id
 

@@ -239,13 +239,6 @@ class StringAttributeParser:
                     best_params = params
         return best, best_params
 
-    def template_for_pattern(self, pattern: str) -> StringTemplate | None:
-        """Look up a template object by its text (for reconstruction)."""
-        for template in self._tree.templates():
-            if template.text == pattern:
-                return template
-        return None
-
     def _linear_match(self, value: str) -> StringTemplate | None:
         """Fallback scan for values the token walk fails to route."""
         best: StringTemplate | None = None

@@ -12,8 +12,9 @@ probing everything (the PR 2 contract), which is what
 ``run.py query --check`` pins across deployments.
 
 What a batch adds over looped point lookups is per-plan memoisation of
-repeated ids, and the probe counters each lookup leaves on the store
-folded into the plan's :class:`PlanStats`.
+repeated ids (looped lookups share only the store's memos: the rebuilt
+exact spans and the segment renders), and the probe counters each
+lookup leaves on the store folded into the plan's :class:`PlanStats`.
 """
 
 from __future__ import annotations
@@ -111,14 +112,14 @@ class QueryPlan:
         Analyst query streams draw ids with replacement (the Fig. 12
         model keeps returning to the incident's traces), so a batch
         memoises per trace id: a repeated id re-yields the first
-        reconstruction — the *same* result object, not a fresh copy,
-        so cursor results are to be treated as read-only (every
-        consumer in this repo folds or renders them) — instead of
-        rebuilding it span by span.  The cache is per-plan — it can
-        never serve stale answers across batches — and is disabled
+        result object, not a fresh copy.  Across plans, the store's
+        own memos share the rebuilt spans and segment renders between
+        results, so every result is read-only (every consumer in this
+        repo folds or renders them).  The per-plan cache is disabled
         when ``pull_params`` is set, because a pull upgrades storage
         mid-batch and a repeat must then see the upgraded answer,
-        exactly as looped lookups would.
+        exactly as looped lookups would; the store's memos drop what a
+        pull changes.
         """
         spec = self.spec
         memo: dict[str, QueryResult] | None = None if spec.pull_params else {}

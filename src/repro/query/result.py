@@ -92,6 +92,11 @@ class QueryResult:
     ``PARTIAL``; Mint produces all three statuses.  A plain string
     status is coerced to :class:`QueryStatus` on construction, so
     legacy constructors keep working unchanged.
+
+    Read-only: an exact hit's spans and a partial hit's segment renders
+    are the store's memoised objects, shared with every other result
+    for the same trace or pattern — across queries, not only within a
+    batch.
     """
 
     trace_id: str

@@ -12,6 +12,14 @@ def sql(i: int) -> str:
     )
 
 
+def template_for_pattern(parser: StringAttributeParser, pattern: str):
+    """The parser's template object with this text, or None."""
+    for template in parser.templates:
+        if template.text == pattern:
+            return template
+    return None
+
+
 class TestStringAttributeParser:
     def test_warm_up_then_parse(self):
         parser = StringAttributeParser("sql")
@@ -26,7 +34,7 @@ class TestStringAttributeParser:
         parser.warm_up([sql(i) for i in range(5)])
         value = sql(12345)
         parsed = parser.parse(value)
-        template = parser.template_for_pattern(parsed.pattern)
+        template = template_for_pattern(parser, parsed.pattern)
         assert template is not None
         assert template.reconstruct(parsed.param) == value
 
