@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from typing import Callable
 
 from repro.framework import MintFramework
@@ -43,9 +44,12 @@ def best_of(
     """Drive a fresh framework per repeat; keep the fastest run's
     framework open (the caller closes it) and close the rest.  One
     stream interval is small enough for scheduler noise to matter, so
-    the minimum is the least-noise estimate."""
+    the minimum is the least-noise estimate.  An untimed full
+    collection before each drive starts every repeat from the same
+    collector state, so no repeat pays for an earlier one's garbage."""
     best_elapsed, best_framework = float("inf"), None
     for _ in range(max(1, repeats)):
+        gc.collect()
         framework = factory()
         elapsed = drive(framework, stream)
         if elapsed < best_elapsed:

@@ -24,6 +24,7 @@ from repro.query.result import (
     QueryResult,
     QueryStatus,
 )
+from repro.query.spec import QuerySpec
 
 __all__ = [
     "ApproximateSegment",
@@ -58,6 +59,36 @@ class Querier:
                 trace_id=trace_id, status=QueryStatus.PARTIAL, approximate=approximate
             )
         return QueryResult(trace_id=trace_id, status=QueryStatus.MISS)
+
+    def may_match(self, trace_id: str, spec: QuerySpec) -> bool:
+        """False only when :meth:`query` provably answers no hit of the span
+        predicates: an id ``_reconstruct_exact`` answers hits only through its
+        stored span patterns, any other only through a satisfying topo filter."""
+        spans, topos = self._predicate_screen(spec)
+        if self.storage.has_params(trace_id) and (spans or topos):
+            ids = {record[3] for record in self.storage.params.get(trace_id, [])}
+            if any(pattern_id in self.storage.span_patterns for pattern_id in ids):
+                return not spans.isdisjoint(ids)
+        return bool(topos and self.storage.patterns_matching_among(trace_id, topos))
+
+    def _predicate_screen(self, spec: QuerySpec) -> tuple[frozenset[str], frozenset[str]]:
+        """The stored span and topo patterns whose span (render) views can
+        satisfy the span predicates; memoised beside the renders (a lone
+        pattern's stitched order is its render, if it is stored)."""
+        key = (spec.service, spec.operation, spec.error_only)
+        screen = self.storage.predicate_screens.get(key)
+        if screen is None:
+            spans, topos = set(), set()
+            for pattern_id in self.storage.span_patterns:
+                pattern = self.storage.span_patterns.get(pattern_id)
+                if spec.matches_span(pattern.service, pattern.name, pattern.status):
+                    spans.add(pattern_id)
+            for pattern_id in self.storage.topo_patterns:
+                views = [v for _, render in self._segment_order((pattern_id,)) for v in render[0]]
+                if any(spec.matches_span(v["service"], v["name"], v["status"]) for v in views):
+                    topos.add(pattern_id)
+            screen = self.storage.predicate_screens[key] = (frozenset(spans), frozenset(topos))
+        return screen
 
     # ------------------------------------------------------------------
     # Exact reconstruction

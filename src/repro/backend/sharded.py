@@ -239,10 +239,12 @@ class MergedStorageView:
         # Patterns whose accumulator saturated past usefulness: treated
         # as unconditional candidates (see _absorb_filter).
         self._prescreen_saturated: set[str] = set()
+        self._narrowed: dict[frozenset[str], list[StoredBloom]] = {}  # by screened patterns
         self._extra_sampled: set[str] = set()
         self.sampled_trace_ids = _MergedSampledIds(shards, self._extra_sampled)
         self._segment_renders: dict[str, Any] = {}
         self._segment_orders: dict[tuple[str, ...], Any] = {}
+        self._predicate_screens: dict[tuple, Any] = {}
         self._exact_traces: dict[str, list[Any]] = {}
         self._render_token: tuple = ()  # what the memos were filled under
         self.filters_probed = 0
@@ -322,6 +324,7 @@ class MergedStorageView:
                 for merged_id, by_geometry in self._merged_blooms.items()
                 for merged in by_geometry.values()
             ]
+            self._narrowed = {}
 
     # ------------------------------------------------------------------
     # StorageEngine-shaped lookups
@@ -368,6 +371,20 @@ class MergedStorageView:
         self.filters_pruned += stored_filters - len(probed)
         return entries_containing(probed, *digest)
 
+    def patterns_matching_among(self, trace_id: str, topo_ids: frozenset[str]) -> list[StoredBloom]:
+        """:meth:`patterns_matching_trace` over the given topo patterns:
+        only their accumulators pre-screen, only their filters are probed."""
+        if topo_ids not in self._narrowed:
+            accumulators = self._accumulators
+            self._narrowed[topo_ids] = [e for e in accumulators if e.topo_pattern_id in topo_ids]
+        digest = _digest_pair(trace_id)
+        matches = entries_containing(self._narrowed[topo_ids], *digest)
+        candidates = {e.topo_pattern_id for e in matches} | (self._prescreen_saturated & topo_ids)
+        probed = [e for shard in self.shards for e in shard.blooms.of_patterns(candidates)]
+        self.filters_probed += len(probed)
+        self.filters_pruned += sum(len(shard.blooms) for shard in self.shards) - len(probed)
+        return entries_containing(probed, *digest)
+
     def _current_memos(self) -> None:
         """Drop the querier's memos unless they were filled under the
         current patterns.
@@ -384,6 +401,8 @@ class MergedStorageView:
             self._render_token = token
             self._segment_renders = {}
             self._segment_orders = {}
+            self._predicate_screens = {}
+            self._narrowed = {}
             self._exact_traces = {}
             for shard in self.shards:
                 shard.params.watch(self, self._exact_traces)
@@ -399,6 +418,12 @@ class MergedStorageView:
         """The querier's stitched-order memo, dropped with the renders."""
         self._current_memos()
         return self._segment_orders
+
+    @property
+    def predicate_screens(self) -> dict[tuple, Any]:
+        """The querier's predicate-screen memo, dropped with the renders."""
+        self._current_memos()
+        return self._predicate_screens
 
     @property
     def exact_traces(self) -> dict[str, list[Any]]:

@@ -57,11 +57,12 @@ class StorageEngine:
         self.topo_patterns: dict[str, TopoPattern] = {}
         # Bumped whenever store_pattern_report — the one mutation site of
         # the three dicts above — changes any of them; approximate-segment
-        # renders and the stitched order per matched pattern set (pure
-        # functions of them) are memoised until it moves.
+        # renders, stitched orders and predicate screens (pure functions
+        # of them) are memoised until it moves.
         self.pattern_version = 0
         self.segment_renders: dict[str, Any] = {}
         self.segment_orders: dict[tuple[str, ...], Any] = {}
+        self.predicate_screens: dict[tuple, Any] = {}
         self.cold = ColdTier()
         self.blooms: TieredBlooms = TieredBlooms(self.cold)
         # trace_id -> compact param records (see ParsedSpan.compact_record)
@@ -72,8 +73,8 @@ class StorageEngine:
         self.exact_traces: dict[str, list[Any]] = {}
         self.params.watch(self, self.exact_traces)
         self.sampled_trace_ids: set[str] = set()
-        # Stored filters this engine's lookups probed; it has no
-        # pre-screen, so it never prunes one.
+        # Stored filters this engine's lookups probed, and those a
+        # predicate-screened lookup skipped (a plain lookup prunes none).
         self.filters_probed = 0
         self.filters_pruned = 0
         self._pattern_bytes = 0
@@ -115,6 +116,7 @@ class StorageEngine:
             self.pattern_version += 1
             self.segment_renders = {}
             self.segment_orders = {}
+            self.predicate_screens = {}
             self.exact_traces.clear()
 
     def store_bloom_report(self, report: BloomReport) -> None:
@@ -264,6 +266,13 @@ class StorageEngine:
         """All stored Bloom filters that (probably) contain ``trace_id``."""
         stored = self.blooms.resolved()
         self.filters_probed += len(stored)
+        return entries_containing(stored, *_digest_pair(trace_id))
+
+    def patterns_matching_among(self, trace_id: str, topo_ids: frozenset[str]) -> list[StoredBloom]:
+        """The given topo patterns' matching filters; others are pruned."""
+        stored = self.blooms.of_patterns(topo_ids)
+        self.filters_probed += len(stored)
+        self.filters_pruned += len(self.blooms) - len(stored)
         return entries_containing(stored, *_digest_pair(trace_id))
 
     def has_params(self, trace_id: str) -> bool:

@@ -204,8 +204,9 @@ class LiveQueryPlane:
 
         Runs each subscription's *original* spec against the settled
         store — the identical call the post-hoc batch query makes — and
-        pushes whatever ``_pushed`` is missing.  Idempotent across
-        repeated finalizes: the send-side dedup only grows.
+        pushes whatever ``_pushed`` is missing; a candidate whose stored
+        patterns cannot satisfy the span predicates is never rebuilt.
+        Idempotent across repeated finalizes: the send-side dedup only grows.
         """
         for sub in self._snapshot:
             if not sub.active:

@@ -3,13 +3,13 @@
 The planner turns a :class:`~repro.query.spec.QuerySpec` into an
 executable plan over a StorageEngine-shaped store (the single engine,
 or the sharded deployment's merged view).  Every plan runs the
-reference :class:`~repro.backend.querier.Querier` over that store, so
-each id costs exactly one ``patterns_matching_trace`` lookup: on the
-merged view that lookup pushes the OR'd Bloom accumulators down as a
-negative pre-screen and confirms survivors filter by filter through the
-shards' per-pattern position index — answers are bit-identical to
-probing everything (the PR 2 contract), which is what
-``run.py query --check`` pins across deployments.
+reference :class:`~repro.backend.querier.Querier` over that store: an
+id costs one ``patterns_matching_trace`` lookup, which on the merged
+view pushes the OR'd Bloom accumulators down as a negative pre-screen
+and confirms survivors through the shards' per-pattern position index
+(answers bit-identical to probing everything, as ``run.py query
+--check`` pins).  Span predicates are decided per pattern first, so an
+id whose patterns cannot match is skipped without a reconstruction.
 
 What a batch adds over looped point lookups is per-plan memoisation of
 repeated ids (looped lookups share only the store's memos: the rebuilt
@@ -33,10 +33,10 @@ class PlanStats:
     ``filters_probed`` / ``filters_pruned`` are the stored-filter
     counts the plan's lookups left on the store: probed filters were
     tested for membership, pruned ones are the rest of what a
-    probe-everything scan would have touched, skipped because the
-    Bloom pre-screen proved them fruitless.  Every plan counts, point
-    lookups included; nonzero pruning on sharded runs is asserted by
-    the query bench gate.
+    probe-everything scan would have touched, skipped by the merged
+    Bloom pre-screen or (on either store) a predicate screen.  An id
+    the screen skips counts in ``candidates``, not ``predicate_rejected``.
+    The query bench gate asserts nonzero pruning on sharded runs.
     """
 
     candidates: int = 0
@@ -90,12 +90,12 @@ class QueryPlan:
             return tuple(sorted(self.querier.storage.params))
         return ()
 
-    def _counted(self, lookup: Callable[[str], Any], trace_id: str) -> Any:
+    def _counted(self, lookup: Callable[..., Any], *args: Any) -> Any:
         """Run one store lookup, adding the filters it probed and
         pruned on the store to this plan's counters."""
         storage = self.querier.storage
         probed, pruned = storage.filters_probed, storage.filters_pruned
-        answer = lookup(trace_id)
+        answer = lookup(*args)
         self.stats.filters_probed += storage.filters_probed - probed
         self.stats.filters_pruned += storage.filters_pruned - pruned
         return answer
@@ -120,9 +120,13 @@ class QueryPlan:
         mid-batch and a repeat must then see the upgraded answer,
         exactly as looped lookups would; the store's memos drop what a
         pull changes.
+
+        Without an upgrade hook, ids :meth:`Querier.may_match` rules out
+        (on the store's screen at that id, valid mid-drain) are skipped.
         """
         spec = self.spec
-        memo: dict[str, QueryResult] | None = None if spec.pull_params else {}
+        memo: dict[str, QueryResult | None] | None = None if spec.pull_params else {}
+        screened = spec.has_span_predicates and self.upgrade is None
         for trace_id in self.candidate_ids():
             if spec.limit is not None and self.stats.yielded >= spec.limit:
                 return
@@ -131,17 +135,16 @@ class QueryPlan:
                 self.stats.cache_hits += 1
                 result = memo[trace_id]
             else:
-                result = self._counted(self.querier.query, trace_id)
-                if (
-                    self.upgrade is not None
-                    and result.status is QueryStatus.PARTIAL
-                ):
-                    result = self.upgrade(result)
+                result = None
+                if not screened or self._counted(self.querier.may_match, trace_id, spec):
+                    result = self._counted(self.querier.query, trace_id)
+                    if self.upgrade is not None and result.status is QueryStatus.PARTIAL:
+                        result = self.upgrade(result)
                 if memo is not None:
                     memo[trace_id] = result
-            if spec.has_predicates and not matches_result(
-                spec, result, self._pattern_member
-            ):
+            if result is None:
+                continue
+            if spec.has_predicates and not matches_result(spec, result, self._pattern_member):
                 if result.status is not QueryStatus.MISS:
                     self.stats.predicate_rejected += 1
                 continue

@@ -129,11 +129,22 @@ class QuerySpec:
     def has_predicates(self) -> bool:
         """True when results are filtered (vs a pure point/batch fetch)."""
         return (
-            self.service is not None
-            or self.operation is not None
-            or self.error_only
+            self.has_span_predicates
             or self.time_range is not None
             or self.topo_pattern_id is not None
+        )
+
+    @property
+    def has_span_predicates(self) -> bool:
+        """True when ``service``, ``operation`` or ``error_only`` is set."""
+        return self.service is not None or self.operation is not None or self.error_only
+
+    def matches_span(self, service: str, operation: str, status: str | None) -> bool:
+        """One span's facts against the span-level predicates."""
+        return (
+            (self.service is None or service == self.service)
+            and (self.operation is None or operation == self.operation)
+            and (status == SpanStatus.ERROR.value or not self.error_only)
         )
 
     def describe(self) -> str:
@@ -154,15 +165,15 @@ class QuerySpec:
         return "QuerySpec(" + ", ".join(parts) + ")"
 
 
-def _span_facts(result: "QueryResult") -> Iterable[tuple[str, str, bool]]:
-    """(service, operation, is_error) per available span, either kind."""
+def _span_facts(result: "QueryResult") -> Iterable[tuple[str, str, str | None]]:
+    """(service, operation, status) per available span, either kind."""
     if result.trace is not None:
         for span in result.trace.spans:
-            yield span.service, span.name, span.status is SpanStatus.ERROR
+            yield span.service, span.name, span.status.value
     elif result.approximate is not None:
         for segment in result.approximate.segments:
             for view in segment.spans:
-                yield view["service"], view["name"], view.get("status") == "error"
+                yield view["service"], view["name"], view.get("status")
 
 
 def matches_result(
@@ -181,17 +192,10 @@ def matches_result(
     """
     if not result.is_hit:
         return False
-    if spec.service is not None or spec.operation is not None or spec.error_only:
-        for service, operation, is_error in _span_facts(result):
-            if spec.service is not None and service != spec.service:
-                continue
-            if spec.operation is not None and operation != spec.operation:
-                continue
-            if spec.error_only and not is_error:
-                continue
-            break
-        else:
-            return False
+    if spec.has_span_predicates and not any(
+        spec.matches_span(*facts) for facts in _span_facts(result)
+    ):
+        return False
     if spec.time_range is not None and result.trace is not None:
         # Approximate traces store no timestamps — the window can only
         # exclude exact reconstructions (see module docstring).

@@ -8,9 +8,7 @@ of queries target known-abnormal traces, the rest are drawn (seeded,
 uniformly) from the whole population — the unpredictable tail that
 drives the ~27 % miss rate of '1 or 0' sampling.
 
-Since PR 5 the model also speaks the query plane's language: the
-sampled id streams compile into :class:`~repro.query.spec.QuerySpec`
-batches, and :func:`incident_window_spec` expresses the paper's
+:func:`incident_window_spec` expresses the paper's
 Mar. 21 investigation ("all error traces for service X in the incident
 window") as one declarative predicate query whose candidate universe
 is the analyst's request log — exactly the after-the-fact setting the
@@ -63,37 +61,6 @@ class QueryWorkload:
             pool = abnormal if use_abnormal else records
             queries.append(self._rng.choice(pool).trace_id)
         return queries
-
-    def incident_window_queries(
-        self,
-        records: list[TraceRecord],
-        window_start: float,
-        window_end: float,
-        count: int,
-    ) -> list[str]:
-        """Queries biased towards an incident window (paper's Mar. 21
-        case: analysts retro-query a time range regardless of sampling)."""
-        in_window = [
-            r for r in records if window_start <= r.timestamp < window_end
-        ]
-        pool = in_window or records
-        return [self._rng.choice(pool).trace_id for _ in range(count)]
-
-    def sample_spec(
-        self,
-        records: list[TraceRecord],
-        count: int,
-        pull_params: bool = False,
-    ) -> QuerySpec:
-        """The Fig. 12 daily query stream as one batch spec.
-
-        Same draw as :meth:`sample_queries` (and it advances the same
-        seeded RNG), packaged for ``QueryEngine.execute``: one result
-        per queried id, misses included.
-        """
-        return QuerySpec.batch(
-            self.sample_queries(records, count), pull_params=pull_params
-        )
 
     def storm_schedule(
         self, qps: float, count: int, seed: int = 0

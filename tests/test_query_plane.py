@@ -27,7 +27,7 @@ from repro.query import (
 from repro.sim.experiment import generate_stream
 from repro.transport import Deployment
 from repro.workloads import build_onlineboutique
-from repro.workloads.queries import QueryWorkload, TraceRecord, incident_window_spec
+from repro.workloads.queries import TraceRecord, incident_window_spec
 
 NUM_TRACES = 140
 
@@ -364,13 +364,6 @@ class TestWorkloadSpecs:
         assert spec.error_only
         in_window = {r.trace_id for r in records if lo <= r.timestamp < hi}
         assert set(spec.trace_ids) == in_window
-
-    def test_sample_spec_draws_like_sample_queries(self, driven):
-        stream, _, _ = driven
-        records = self._records(stream)
-        ids = QueryWorkload(seed=3).sample_queries(records, 25)
-        spec = QueryWorkload(seed=3).sample_spec(records, 25)
-        assert spec.trace_ids == tuple(ids)
 
     def test_incident_spec_end_to_end(self, driven):
         stream, _, frameworks = driven

@@ -10,6 +10,12 @@ patches ``tests/reference_read_path.py`` in and requires deeply equal
 answers.  Its invariant pins the memo's footprint: only traces whose
 every bucket is hot, so a sealed read always reads its block.
 
+Predicate reads and standing queries ride along: a ``where`` read
+must deeply equal the unscreened loop (the oracle does not patch the
+plan's per-pattern screen), and after every finalize each active
+subscription's hits equal the post-hoc answer of its spec, whose
+candidates mix ingested ids with ids not yet ingested.
+
 Tier-1 runs a fixed (derandomized) set of 40 examples per deployment;
 ``READ_MACHINE_EXAMPLES`` sets the count and draws fresh examples on
 every run (the scheduled CI lane runs it long).
@@ -31,6 +37,7 @@ from hypothesis.stateful import (
     precondition,
     rule,
 )
+from test_query_screen import unscreened
 from test_read_path_identity import deep
 
 from repro.agent.reports import ParamsReport
@@ -67,6 +74,19 @@ def halves(trace: Trace) -> list[Trace]:
 PARTS = [halves(trace) for _, trace in _STREAM[WARMUP:]]
 IDS = [trace.trace_id for _, trace in _STREAM[WARMUP:]]
 STEPS = st.sampled_from([0.01, 61.0])
+PREDICATES = st.sampled_from(
+    [
+        {"error_only": True},
+        {"service": "frontend"},
+        {"service": "checkoutservice"},
+        {"service": "frontend", "error_only": True},
+        {"operation": "hipstershop.PaymentService/Charge"},
+        {
+            "service": "recommendationservice",
+            "operation": "hipstershop.ProductCatalogService/GetProduct",
+        },
+    ]
+)
 
 
 def oracle(read):
@@ -102,6 +122,7 @@ class ReadWriteMachine(RuleBasedStateMachine):
         self.now = 0.0
         self.sent = [0] * len(PARTS)  # halves of each trace ingested so far
         self.reshard = None
+        self.subs = []
         if self.deployment.is_sharded:
             self.reshard = ReshardCoordinator(
                 self.framework.backend, self.framework.transport, 3
@@ -137,6 +158,26 @@ class ReadWriteMachine(RuleBasedStateMachine):
     @rule()
     def finalize(self):
         self.framework.finalize(self.now)
+        for sub in self.subs:
+            want = sorted({result.trace_id for result in self.framework.execute(sub.spec)})
+            assert sorted(sub.hit_ids) == want, sub.spec.describe()
+
+    @rule(predicate=PREDICATES, data=st.data())
+    def subscribe(self, predicate, data):
+        """A standing query over ingested ids and ids not ingested yet."""
+        seen = [trace_id for trace_id, sent in zip(IDS, self.sent) if sent]
+        unseen = [trace_id for trace_id, sent in zip(IDS, self.sent) if not sent]
+        candidates = data.draw(st.lists(st.sampled_from(seen), max_size=5)) if seen else []
+        candidates += data.draw(st.lists(st.sampled_from(unseen), max_size=5)) if unseen else []
+        spec = QuerySpec.where(candidates=candidates or IDS[:1], **predicate)
+        self.subs.append(self.framework.subscribe(spec))
+
+    @precondition(lambda self: self.subs)
+    @rule(data=st.data())
+    def unsubscribe(self, data):
+        sub = data.draw(st.sampled_from(self.subs))
+        self.framework.unsubscribe(sub)
+        self.subs.remove(sub)
 
     @rule(keep=st.integers(0, 6))
     def seal(self, keep):
@@ -146,6 +187,14 @@ class ReadWriteMachine(RuleBasedStateMachine):
     @rule()
     def reshard_step(self):
         self.reshard.step()
+
+    @precondition(lambda self: self.deployment.is_sharded)
+    @rule()
+    def saturate_prescreen(self):
+        """From now on a pattern's next filter saturates its merged
+        accumulator, as on a long stream: the pattern becomes an
+        unconditional pre-screen candidate while others keep theirs."""
+        self.framework.backend.storage._PRESCREEN_MAX_SATURATION = 0.0
 
     # -- reads ---------------------------------------------------------
     @rule(trace_id=read_ids)
@@ -168,6 +217,14 @@ class ReadWriteMachine(RuleBasedStateMachine):
         again = deep(self.framework.query(trace_id))
         want = oracle(lambda: deep(self.framework.query(trace_id)))
         assert pulled == want and again == want
+
+    @rule(trace_ids=st.lists(read_ids, min_size=1, max_size=6), predicate=PREDICATES)
+    def where(self, trace_ids, predicate):
+        """Drawn ids (repeats included) before every ingested id."""
+        seen = [trace_id for trace_id, sent in zip(IDS, self.sent) if sent]
+        spec = QuerySpec.where(candidates=trace_ids + seen, **predicate)
+        got = [deep(result) for result in self.framework.execute(spec)]
+        assert got == unscreened(self.framework.backend.storage, spec)
 
     @invariant()
     def memo_footprint(self):

@@ -122,13 +122,6 @@ class TestQueryWorkload:
         # 10% of traces are abnormal but ~90% of queries target them.
         assert abnormal_fraction > 0.6
 
-    def test_incident_window_queries(self):
-        records = self._records()
-        qw = QueryWorkload(seed=4)
-        queries = qw.incident_window_queries(records, 50.0, 60.0, 40)
-        by_id = {r.trace_id: r for r in records}
-        assert all(50.0 <= by_id[q].timestamp < 60.0 for q in queries)
-
     def test_empty_population(self):
         qw = QueryWorkload(seed=5)
         assert qw.sample_queries([], 10) == []
